@@ -454,18 +454,13 @@ mod tests {
         (p step (count ^n <n>) (test (< <n> 3)) --> (modify 1 ^n (+ <n> 1)))
     ";
 
+    /// A fresh file per call: tests run in parallel and several write
+    /// the same program, so the name cannot depend on the contents alone.
     fn temp_file(contents: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!(
-            "parulel-cli-test-{}-{:x}.pll",
-            std::process::id(),
-            contents.len() * 31
-                + contents
-                    .as_bytes()
-                    .iter()
-                    .map(|&b| b as usize)
-                    .sum::<usize>()
-        ));
+        path.push(format!("parulel-cli-test-{}-{n}.pll", std::process::id()));
         std::fs::write(&path, contents).unwrap();
         path
     }

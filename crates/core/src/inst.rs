@@ -70,6 +70,17 @@ impl Instantiation {
         }
     }
 
+    /// Orders by identity key — rule, then matched WME ids — exactly as
+    /// [`InstKey`] does, without building either key.
+    pub fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
+        self.rule.cmp(&other.rule).then_with(|| {
+            self.wmes
+                .iter()
+                .map(|w| w.id)
+                .cmp(other.wmes.iter().map(|w| w.id))
+        })
+    }
+
     /// Whether this instantiation matched the WME with id `id`.
     pub fn uses_wme(&self, id: WmeId) -> bool {
         self.wmes.iter().any(|w| w.id == id)
@@ -209,7 +220,8 @@ impl ConflictSet {
     /// A deterministic, sorted snapshot of the instantiations (by key).
     pub fn sorted(&self) -> Vec<Instantiation> {
         let mut v: Vec<Instantiation> = self.by_key.values().cloned().collect();
-        v.sort_by_key(|inst| inst.key());
+        // Keys are unique in the set, so an unstable sort is deterministic.
+        v.sort_unstable_by(Instantiation::cmp_key);
         v
     }
 
@@ -269,6 +281,22 @@ mod tests {
         assert_eq!(keys[1], inst(1, &[2, 3]).key());
         assert_eq!(keys[2], inst(1, &[9]).key());
         assert_eq!(keys[3], inst(2, &[1]).key());
+    }
+
+    #[test]
+    fn cmp_key_agrees_with_key_order() {
+        let insts = [
+            inst(2, &[1]),
+            inst(1, &[9]),
+            inst(1, &[2, 3]),
+            inst(1, &[2, 1]),
+            inst(1, &[2]),
+        ];
+        for a in &insts {
+            for b in &insts {
+                assert_eq!(a.cmp_key(b), a.key().cmp(&b.key()), "{}", a.key());
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   1. **Match** — an incremental matcher (`parulel-match`) maintains
 //!      the conflict set; refraction removes already-fired
 //!      instantiations.
-//!   2. **Redact** — [`meta`]: the program's *meta-rules* run to
-//!      fixpoint over the conflict set, deleting ("redacting")
+//!   2. **Redact** — [`meta`]: the program's *meta-rules* run over the
+//!      conflict set in one simultaneous round, deleting ("redacting")
 //!      instantiations that must not fire together. Conflict resolution
 //!      becomes programmable, application-level knowledge. An optional
 //!      [`interference`] guard backstops them, auto-redacting overlaps

@@ -7,17 +7,31 @@
 //!
 //! ## Semantics
 //!
-//! Redaction runs in **simultaneous rounds to a fixpoint**: each round,
-//! every meta-rule match against the currently-live set is computed, all
-//! requested redactions are applied at once, and the process repeats until
-//! a round redacts nothing. Simultaneity makes the result independent of
-//! rule and instantiation enumeration order — property-tested in this
-//! module. (A meta-pair that mutually redacts each other kills both; write
-//! a tie-breaking `test` if one should survive.)
+//! Redaction is **simultaneous**: every match of every meta-rule against
+//! the eligible set is found, and all requested redactions are applied at
+//! once. Simultaneity makes the result independent of rule and
+//! instantiation enumeration order (tested in this module, and against a
+//! fixpoint reference in `tests/redact_differential.rs`). (A
+//! meta-pair that mutually redacts each other kills both; write a
+//! tie-breaking `test` if one should survive.)
+//!
+//! The paper states this as rounds to a fixpoint, but **one round is the
+//! fixpoint**. Every meta CE is positive, so a match over the survivors of
+//! a round is also a match over that round's input, and its targets were
+//! already redacted by it — a second round always finds nothing.
+//!
+//! ## Cost
+//!
+//! A round only decides *which* instantiations die, so it stops proving a
+//! decision once it is made. Redactions only accumulate within the round,
+//! so a partial match whose redaction targets are all chosen and already
+//! marked can contribute nothing: the last target CE skips a candidate
+//! that would settle its targets this way, and any deeper CE returns as
+//! soon as its targets are settled. A pairwise "redact the worse one"
+//! meta-rule thus finds about one witness per loser instead of
+//! enumerating every pair.
 
-use parulel_core::{
-    FxHashMap, FxHashSet, Instantiation, MetaRule, Program, RuleId, TestExpr, Value,
-};
+use parulel_core::{FxHashMap, Instantiation, MetaRule, Program, RuleId, TestExpr, Value};
 
 /// Result of the redaction phase.
 #[derive(Clone, Debug)]
@@ -26,13 +40,13 @@ pub struct RedactOutcome {
     pub surviving: Vec<Instantiation>,
     /// How many were redacted.
     pub redacted: usize,
-    /// Rounds to fixpoint.
+    /// Rounds that redacted something: 1 if anything was redacted, else 0.
     pub rounds: usize,
 }
 
 /// An equality join key for one meta CE: candidate instantiations can be
 /// hash-bucketed on `wmes[pat].field(slot)`, probed with `env[var]`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct JoinKey {
     pat: usize,
     slot: u16,
@@ -40,41 +54,40 @@ struct JoinKey {
 }
 
 /// Precomputed evaluation plan for one meta-rule: which tests can run
-/// after which CE (earliest point all their variables are bound), and the
+/// after which CE (earliest point all their variables are bound), the
 /// hash-join key for each CE (the first field equated with a variable
-/// bound by an earlier CE). Without the key, pairwise meta-rules over a
-/// conflict set of width *n* cost O(n²) per round; with it the common
-/// "same ^x" patterns cost O(n).
+/// bound by an earlier CE), and the CEs its actions redact. Without the
+/// key, pairwise meta-rules over a conflict set of width *n* cost O(n²);
+/// with it the common "same ^x" patterns cost O(n).
 struct MetaPlan<'a> {
     meta: &'a MetaRule,
     /// `tests_at[k]` = tests runnable once CEs `0..=k` are bound.
     tests_at: Vec<Vec<&'a TestExpr>>,
     /// `join_key[k]` = the hash-join key for CE k, if one exists.
     join_key: Vec<Option<JoinKey>>,
+    /// The CE ordinals the actions redact, deduplicated.
+    targets: Vec<usize>,
 }
 
 impl<'a> MetaPlan<'a> {
     fn new(meta: &'a MetaRule) -> Self {
         // Variables are allocated scanning CEs in order, so the count
         // bound after CE k is the max Bind id seen in CEs 0..=k, plus one.
+        // A key must use a variable from an earlier CE: the probe runs
+        // before a candidate of this CE binds anything.
         let mut bound_after = Vec::with_capacity(meta.ces.len());
         let mut join_key = Vec::with_capacity(meta.ces.len());
         let mut bound: u16 = 0;
         for ce in &meta.ces {
+            let before = bound;
             let mut key = None;
             for (p, pat) in ce.pats.iter().enumerate() {
                 for t in &pat.tests {
                     match t.check {
                         parulel_core::FieldCheck::Bind(v) => bound = bound.max(v.0 + 1),
                         parulel_core::FieldCheck::Var(parulel_core::PredOp::Eq, v)
-                            if v.0 < bound && key.is_none() =>
+                            if v.0 < before && key.is_none() =>
                         {
-                            // `bound` here still counts only earlier CEs
-                            // plus earlier binds of this CE; a var bound
-                            // earlier in this same CE is also fine to
-                            // probe with (it's in env by then)… but env is
-                            // only filled per-candidate, so restrict to
-                            // vars from earlier CEs: recompute below.
                             key = Some(JoinKey {
                                 pat: p,
                                 slot: t.slot,
@@ -88,16 +101,6 @@ impl<'a> MetaPlan<'a> {
             bound_after.push(bound);
             join_key.push(key);
         }
-        // Drop keys whose variable is bound within the same CE (the probe
-        // value is not available before candidate selection).
-        for (k, key) in join_key.iter_mut().enumerate() {
-            if let Some(jk) = key {
-                let before = if k == 0 { 0 } else { bound_after[k - 1] };
-                if jk.var.0 >= before {
-                    *key = None;
-                }
-            }
-        }
         let mut tests_at: Vec<Vec<&TestExpr>> = vec![Vec::new(); meta.ces.len()];
         for test in &meta.tests {
             let anchor = match test.max_var() {
@@ -109,17 +112,26 @@ impl<'a> MetaPlan<'a> {
             };
             tests_at[anchor].push(test);
         }
+        let mut targets: Vec<usize> = meta
+            .actions
+            .iter()
+            .map(|parulel_core::MetaAction::Redact { ce }| *ce as usize)
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
         MetaPlan {
             meta,
             tests_at,
             join_key,
+            targets,
         }
     }
 }
 
-/// Runs all meta-rules of `program` over `eligible` to fixpoint. Input
-/// order is preserved for survivors (callers pass key-sorted sets, so the
-/// output is deterministic).
+/// Runs all meta-rules of `program` over `eligible` in one simultaneous
+/// round (which is the fixpoint; see the module docs). Input order is
+/// preserved for survivors (callers pass key-sorted sets, so the output
+/// is deterministic).
 pub fn redact(program: &Program, eligible: Vec<Instantiation>) -> RedactOutcome {
     if program.metas().is_empty() || eligible.is_empty() {
         return RedactOutcome {
@@ -128,137 +140,132 @@ pub fn redact(program: &Program, eligible: Vec<Instantiation>) -> RedactOutcome 
             rounds: 0,
         };
     }
-    let plans: Vec<MetaPlan> = program.metas().iter().map(MetaPlan::new).collect();
-    let mut alive: Vec<bool> = vec![true; eligible.len()];
-    let mut rounds = 0usize;
-    loop {
-        // Index live instantiations by rule for candidate enumeration.
-        let mut by_rule: FxHashMap<RuleId, Vec<usize>> = FxHashMap::default();
-        for (i, inst) in eligible.iter().enumerate() {
-            if alive[i] {
-                by_rule.entry(inst.rule).or_default().push(i);
-            }
+    // Index instantiations by rule for candidate enumeration.
+    let mut by_rule: FxHashMap<RuleId, Vec<usize>> = FxHashMap::default();
+    for (i, inst) in eligible.iter().enumerate() {
+        by_rule.entry(inst.rule).or_default().push(i);
+    }
+    let mut marked = vec![false; eligible.len()];
+    for meta in program.metas() {
+        let plan = MetaPlan::new(meta);
+        if plan.targets.is_empty() {
+            continue;
         }
-        let mut to_redact: FxHashSet<usize> = FxHashSet::default();
-        for plan in &plans {
-            // Hash-join indexes for this round: per keyed CE, bucket the
-            // live candidates by the key field's value.
-            let indexes: Vec<Option<FxHashMap<Value, Vec<usize>>>> = plan
-                .meta
-                .ces
-                .iter()
-                .zip(&plan.join_key)
-                .map(|(ce, key)| {
-                    key.map(|jk| {
-                        let mut idx: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-                        if let Some(cands) = by_rule.get(&ce.rule) {
-                            for &i in cands {
-                                let v = eligible[i].wmes[jk.pat].field(jk.slot as usize);
-                                idx.entry(v.join_key()).or_default().push(i);
-                            }
-                        }
-                        idx
-                    })
+        // Hash-join indexes: per keyed CE, bucket the candidates by the
+        // key field's value.
+        let indexes: Vec<Option<FxHashMap<Value, Vec<usize>>>> = meta
+            .ces
+            .iter()
+            .zip(&plan.join_key)
+            .map(|(ce, key)| {
+                key.map(|jk| {
+                    let mut idx: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
+                    for &i in by_rule.get(&ce.rule).into_iter().flatten() {
+                        let v = eligible[i].wmes[jk.pat].field(jk.slot as usize);
+                        idx.entry(v.join_key()).or_default().push(i);
+                    }
+                    idx
                 })
-                .collect();
-            let mut env = vec![Value::NIL; plan.meta.num_vars as usize];
-            let mut chosen = Vec::with_capacity(plan.meta.ces.len());
-            match_meta(
-                plan,
-                &eligible,
-                &by_rule,
-                &indexes,
-                0,
-                &mut env,
-                &mut chosen,
-                &mut to_redact,
-            );
-        }
-        if to_redact.is_empty() {
-            break;
-        }
-        for i in to_redact {
-            alive[i] = false;
-        }
-        rounds += 1;
+            })
+            .collect();
+        let env = vec![Value::NIL; meta.num_vars as usize];
+        let mut search = Search {
+            plan: &plan,
+            eligible: &eligible,
+            by_rule: &by_rule,
+            indexes: &indexes,
+            saved: vec![env.clone(); meta.ces.len()],
+            env,
+            chosen: Vec::with_capacity(meta.ces.len()),
+            marked: &mut marked,
+        };
+        search.walk(0);
     }
-    let mut surviving = Vec::new();
-    let mut redacted = 0;
-    for (i, inst) in eligible.into_iter().enumerate() {
-        if alive[i] {
+    let mut surviving = Vec::with_capacity(eligible.len());
+    for (inst, dead) in eligible.into_iter().zip(&marked) {
+        if !dead {
             surviving.push(inst);
-        } else {
-            redacted += 1;
         }
     }
+    let redacted = marked.len() - surviving.len();
     RedactOutcome {
         surviving,
         redacted,
-        rounds,
+        rounds: usize::from(redacted > 0),
     }
 }
 
-/// Depth-first enumeration of all matches of one meta-rule against the
-/// live set; every full match contributes its redactions.
-#[allow(clippy::too_many_arguments)]
-fn match_meta(
-    plan: &MetaPlan,
-    eligible: &[Instantiation],
-    by_rule: &FxHashMap<RuleId, Vec<usize>>,
-    indexes: &[Option<FxHashMap<Value, Vec<usize>>>],
-    ce_idx: usize,
-    env: &mut Vec<Value>,
-    chosen: &mut Vec<usize>,
-    to_redact: &mut FxHashSet<usize>,
-) {
-    if ce_idx == plan.meta.ces.len() {
-        for action in &plan.meta.actions {
-            let parulel_core::MetaAction::Redact { ce } = action;
-            to_redact.insert(chosen[*ce as usize]);
-        }
-        return;
+/// Depth-first enumeration of the matches of one meta-rule, pruned to the
+/// ones that can still mark something.
+struct Search<'p, 'a> {
+    plan: &'p MetaPlan<'a>,
+    eligible: &'p [Instantiation],
+    by_rule: &'p FxHashMap<RuleId, Vec<usize>>,
+    indexes: &'p [Option<FxHashMap<Value, Vec<usize>>>],
+    env: Vec<Value>,
+    /// `saved[k]` = `env` as CE k found it, restored after each candidate.
+    saved: Vec<Vec<Value>>,
+    chosen: Vec<usize>,
+    marked: &'p mut [bool],
+}
+
+impl Search<'_, '_> {
+    /// True iff every target CE is chosen and its instantiation marked.
+    fn settled(&self) -> bool {
+        self.plan
+            .targets
+            .iter()
+            .all(|&t| self.chosen.get(t).is_some_and(|&i| self.marked[i]))
     }
-    let ce = &plan.meta.ces[ce_idx];
-    // Probe the hash-join index when the CE has an equality key; fall back
-    // to all live candidates of the rule. Buckets are re-checked by the
-    // full pattern below, so over-approximation is fine.
-    static EMPTY: Vec<usize> = Vec::new();
-    let candidates: &Vec<usize> = match (&indexes[ce_idx], &plan.join_key[ce_idx]) {
-        (Some(idx), Some(jk)) => idx.get(&env[jk.var.index()].join_key()).unwrap_or(&EMPTY),
-        _ => by_rule.get(&ce.rule).unwrap_or(&EMPTY),
-    };
-    'cand: for &idx in candidates {
-        // Distinct meta CEs bind distinct instantiations.
-        if chosen.contains(&idx) {
-            continue;
+
+    fn walk(&mut self, ce_idx: usize) {
+        let plan = self.plan;
+        if ce_idx == plan.meta.ces.len() {
+            for &t in &plan.targets {
+                self.marked[self.chosen[t]] = true;
+            }
+            return;
         }
-        let inst = &eligible[idx];
-        let saved = env.clone();
-        for (pat, wme) in ce.pats.iter().zip(inst.wmes.iter()) {
-            for t in &pat.tests {
-                if !t.check_wme(wme, env) {
-                    *env = saved;
-                    continue 'cand;
-                }
+        let ce = &plan.meta.ces[ce_idx];
+        let last_target = *plan.targets.last().expect("a meta-rule redacts");
+        // Probe the hash-join index when the CE has an equality key; fall
+        // back to all candidates of the rule. Buckets are re-checked by
+        // the full pattern below, so over-approximation is fine.
+        let candidates: &[usize] = match (&self.indexes[ce_idx], &plan.join_key[ce_idx]) {
+            (Some(idx), Some(jk)) => idx.get(&self.env[jk.var.index()].join_key()),
+            _ => self.by_rule.get(&ce.rule),
+        }
+        .map_or(&[], Vec::as_slice);
+        self.saved[ce_idx].copy_from_slice(&self.env);
+        for &idx in candidates {
+            // Distinct meta CEs bind distinct instantiations.
+            if self.chosen.contains(&idx) {
+                continue;
+            }
+            self.chosen.push(idx);
+            let settled_here = ce_idx == last_target && self.settled();
+            if !settled_here && self.binds(ce_idx, idx) {
+                self.walk(ce_idx + 1);
+            }
+            self.env.copy_from_slice(&self.saved[ce_idx]);
+            let settled_below = ce_idx > last_target && self.settled();
+            self.chosen.pop();
+            if settled_below {
+                return;
             }
         }
-        if !plan.tests_at[ce_idx].iter().all(|t| t.check(env)) {
-            *env = saved;
-            continue;
-        }
-        chosen.push(idx);
-        match_meta(
-            plan,
-            eligible,
-            by_rule,
-            indexes,
-            ce_idx + 1,
-            env,
-            chosen,
-            to_redact,
-        );
-        chosen.pop();
-        *env = saved;
+    }
+
+    /// Matches CE `ce_idx`'s patterns against instantiation `idx`,
+    /// binding into `env`, then runs the tests anchored at this CE.
+    fn binds(&mut self, ce_idx: usize, idx: usize) -> bool {
+        let ce = &self.plan.meta.ces[ce_idx];
+        let env = &mut self.env;
+        ce.pats
+            .iter()
+            .zip(self.eligible[idx].wmes.iter())
+            .all(|(pat, wme)| pat.tests.iter().all(|t| t.check_wme(wme, env)))
+            && self.plan.tests_at[ce_idx].iter().all(|t| t.check(env))
     }
 }
 
@@ -346,15 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_needs_multiple_rounds() {
-        // "redact the larger of any adjacent pair (diff = 1)". After round
-        // one kills 30→29… no: use a chain where killing one enables
-        // another comparison. prios 1,2,3: round 1 matches (1,2),(2,3),
-        // (1,3)? test is diff exactly 1: pairs (2 over 1) and (3 over 2)
-        // redact 2 and 3 in one round. For multi-round we need matches
-        // that only appear after a redaction — with positive-only meta
-        // CEs redaction only removes matches, so rounds>1 requires … the
-        // fixpoint loop still runs a second (empty) round check.
+    fn positive_metas_settle_in_one_round() {
+        // "Redact the larger of any adjacent pair": 3 and 2 both die in
+        // the one round. A second round over the survivor {1} finds no
+        // match, as it must for any program (every meta CE is positive).
         let src = "
             (literalize req id prio)
             (p serve (req ^id <i> ^prio <p>) --> (remove 1))
@@ -375,7 +377,35 @@ mod tests {
         let out = redact(&p, el);
         assert_eq!(out.surviving.len(), 1);
         assert_eq!(out.surviving[0].wmes[0].field(1), Value::Int(1));
+        assert_eq!(out.redacted, 2);
         assert_eq!(out.rounds, 1);
+        let again = redact(&p, out.surviving);
+        assert_eq!((again.redacted, again.rounds), (0, 0));
+    }
+
+    #[test]
+    fn join_key_skips_same_ce_variables() {
+        // CE 2 tests <v> (bound earlier in the same CE) before <k> (bound
+        // by CE 1): only <k> can probe an index.
+        let p = compile(
+            "
+            (literalize t v w k)
+            (p r (t ^v <x>) --> (remove 1))
+            (mp m
+              (inst r (t ^k <k>))
+              (inst r (t ^v <v> ^w <v> ^k <k>))
+             -->
+              (redact 1))",
+        )
+        .unwrap();
+        let plan = MetaPlan::new(&p.metas()[0]);
+        assert_eq!(plan.join_key[0], None);
+        let key = plan.join_key[1].expect("CE 2 is keyed on <k>");
+        assert_eq!((key.pat, key.slot), (0, 2));
+        assert_eq!(
+            plan.meta.ces[0].pats[0].tests[0].check,
+            parulel_core::FieldCheck::Bind(key.var)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! fire each cycle*. That decision is a [`FiringPolicy`]:
 //!
 //! * [`FiringPolicy::FireAll`] — PARULEL's match → redact → fire-all:
-//!   the program's meta-rules run to fixpoint over the eligible set
+//!   the program's meta-rules run over the eligible set
 //!   ([`crate::meta`]), an optional interference guard
 //!   ([`crate::interference`]) backstops them, and every survivor fires
 //!   in the same cycle.
@@ -39,7 +39,7 @@ pub enum FiringPolicy {
     /// PARULEL: redact via meta-rules, guard, then fire every survivor
     /// in the same cycle (parallel RHS evaluation, deterministic merge).
     FireAll {
-        /// Run the program's meta-rules to fixpoint over the eligible
+        /// Run the program's meta-rules over the eligible
         /// set. `false` fires the raw eligible set (Table 4's "no
         /// metas" configuration).
         meta: bool,
@@ -163,7 +163,7 @@ pub(crate) struct Selection {
     pub redacted_meta: usize,
     /// How many the interference guard redacted.
     pub redacted_guard: usize,
-    /// Meta fixpoint rounds.
+    /// Meta rounds that redacted something (0 or 1).
     pub meta_rounds: usize,
     /// Per-rule counts after meta redaction but before the guard — only
     /// when requested via `collect`, only meaningful for fire-all.

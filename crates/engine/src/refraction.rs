@@ -27,12 +27,15 @@ impl Refraction {
     /// The eligible (unrefracted) instantiations of `cs`, sorted by key
     /// for deterministic downstream processing.
     pub fn eligible(&self, cs: &ConflictSet) -> Vec<Instantiation> {
+        // Building a key to probe an empty table is wasted allocation.
         let mut v: Vec<Instantiation> = cs
             .iter()
-            .filter(|i| !self.fired.contains(&i.key()))
+            .filter(|i| self.fired.is_empty() || !self.fired.contains(&i.key()))
             .cloned()
             .collect();
-        v.sort_by_key(|inst| inst.key());
+        // Keys are unique in a conflict set, so an unstable sort is
+        // deterministic.
+        v.sort_unstable_by(Instantiation::cmp_key);
         v
     }
 

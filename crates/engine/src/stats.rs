@@ -15,7 +15,7 @@ pub struct CycleStats {
     pub redacted_guard: usize,
     /// Instantiations fired this cycle.
     pub fired: usize,
-    /// Meta-evaluation rounds to fixpoint.
+    /// Meta-evaluation rounds that redacted something (0 or 1).
     pub meta_rounds: usize,
     /// WMEs asserted by the merged delta.
     pub adds: usize,
