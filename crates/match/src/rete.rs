@@ -11,56 +11,86 @@
 //!
 //! * One linear network per rule ("rule net"): level *k* of a net
 //!   corresponds to condition element *k* in join order. Each level holds
-//!   a subscription to its shared alpha node plus a refcounted hash index
-//!   over its **equality join keys** (the `(slot, var)` pairs where the
-//!   CE equates a field with a variable bound by an earlier CE).
-//! * A **token** is a consistent match of the first *k* CEs: the matched
-//!   positive WMEs (as arena handles — 8 bytes each, no `Arc` chasing),
-//!   their ids (the token key), and the variable bindings.
-//! * Positive levels join input tokens (the previous level's outputs, or
-//!   the root token) with their alpha node; candidates come from the
-//!   shared hash index, residual beta tests and anchored rule tests run
-//!   per candidate.
-//! * Negative levels are **counted**: for each input token the level
-//!   stores how many alpha WMEs are consistent with it; the token passes
-//!   through while the count is zero. Adding a blocker retracts the
-//!   downstream tokens; removing the last blocker re-propagates.
-//! * The last level's outputs are the rule's instantiations, maintained
-//!   directly in the [`ConflictSet`].
+//!   a subscription to its shared alpha node and probes the node's hash
+//!   index over its **equality join keys** (the `(slot, var)` pairs where
+//!   the CE equates a field with a variable bound by an earlier CE).
+//! * A **token** is a consistent match of the first *k* CEs, kept in its
+//!   level's slab under a `u32` handle (freed slots are recycled). It
+//!   holds a **parent link** to the input token it extends — an output of
+//!   the previous level, or the root — and, at a positive level, the WME
+//!   it matched (id and 8-byte arena handle) and its bindings; a negative
+//!   level's token reads its parent's. Its matched WMEs are its chain.
+//! * A token lists its children and sits in `Vec` buckets at recorded
+//!   positions, so unlinking is a swap-remove: the next level's left
+//!   index, by join-key values, and its own level's removal index, by the
+//!   WME it matched itself. Deeper tokens go with it through its children.
+//! * Positive levels join input tokens with their alpha node: candidates
+//!   come from the shared hash index, residual beta tests and anchored
+//!   rule tests run per candidate.
+//! * Negative levels are **counted**: an input token carries how many of
+//!   the level's alpha WMEs are consistent with it, and has one
+//!   pass-through child while that count is zero.
+//! * The last level's outputs are the rule's instantiations, kept in the
+//!   [`ConflictSet`]; their `Arc<[WmeId]>` key is built from the chain
+//!   only when one enters or leaves the set.
 //!
 //! ## Delivery discipline
 //!
-//! Because the shared network inserts membership *before* any beta
-//! delivery, tokens created during an add compute negative counts that
-//! already include the new WME. Delivery therefore increments only input
-//! tokens captured in a pre-delivery snapshot of each hit negative
-//! level's count table; tokens created (or re-created) mid-add always
-//! carry the new WME's id, which no snapshot token can, so the two sets
-//! are provably disjoint and nothing is double-counted.
+//! The shared network inserts membership *before* any beta delivery, so a
+//! token built during an add has already joined with (or counted) the new
+//! WME — and contains it, as an add only builds extensions by it. Delivery
+//! at each hit level therefore **skips input tokens whose chain contains
+//! the added WME**: nothing is joined or counted twice.
+//!
+//! A remove retracts, shallow to deep, the tokens that matched the WME
+//! themselves, children before parents (a final token's chain is live
+//! while its key is built). Negative re-activation then runs deepest level
+//! first: it builds only deeper tokens, whose counts are computed fresh
+//! from the shrunk membership at levels already handled, so every input
+//! it sees predates the delivery and counted the WME.
 
-use crate::alpha::{AlphaNetwork, KeyVals, NodeId};
+use crate::alpha::{AlphaNetwork, Endpoint, KeyVals, NodeId};
 use crate::arena::WmeRef;
 use crate::Matcher;
 use parulel_core::{
     ConditionElement, ConflictSet, CsEvent, FxHashMap, FxHashSet, InstKey, Instantiation, Polarity,
-    Program, RuleId, Value, VarId, Wme, WorkingMemory,
+    Program, RuleId, Value, VarId, Wme, WmeId, WorkingMemory,
 };
 use parulel_vm::{EvalMode, Evaluator};
+use std::hash::Hash;
 use std::sync::Arc;
 
-type TokKey = Arc<[WmeId]>;
-use parulel_core::WmeId;
+/// Handle of a token in a level's slab.
+type Tok = u32;
+
+/// Handle of the root token, level 0's only input.
+const ROOT: Tok = 0;
+
+/// The parent link of an unused slab slot.
+const FREE: Tok = Tok::MAX;
 
 /// A partial match: the first `k` CEs of a rule, satisfied consistently.
-#[derive(Clone, Debug)]
+#[derive(Default)]
 struct Token {
-    /// Ids of the positive WMEs matched so far (the identity).
-    key: TokKey,
-    /// Arena handles of the matched positive WMEs — payloads stay in the
-    /// shared store, tokens carry 8-byte refs.
-    wmes: Vec<WmeRef>,
-    /// Variable bindings (full rule width).
+    /// The input token this one extends or passes through, in the
+    /// previous level's slab ([`ROOT`] at level 0, [`FREE`] when unused).
+    parent: Tok,
+    /// Positive levels: the WME matched here.
+    wme: Option<(WmeId, WmeRef)>,
+    /// Positive levels: the variable bindings (full rule width). Empty at
+    /// negative levels, whose tokens read their parent's.
     env: Box<[Value]>,
+    /// The next level's outputs derived from this token.
+    children: Vec<Tok>,
+    /// When the next level is negative: how many of its alpha WMEs are
+    /// consistent with this token. It passes through iff the count is 0.
+    count: u32,
+    /// Position in the parent's `children`.
+    child_pos: u32,
+    /// Position in the next level's `left_index` bucket.
+    left_pos: u32,
+    /// Position in this level's `by_wme` bucket.
+    wme_pos: u32,
 }
 
 /// One level of a rule net.
@@ -72,36 +102,25 @@ struct Level {
     slots: Box<[u16]>,
     /// This level's subscription in the shared alpha network.
     node: NodeId,
-    /// Input tokens (previous level's outputs) indexed by this level's
-    /// join-key values.
-    left_index: FxHashMap<KeyVals, FxHashSet<TokKey>>,
-    /// Output tokens of this level.
-    tokens: FxHashMap<TokKey, Token>,
-    /// Negative levels: per input-token key, the number of alpha WMEs
-    /// consistent with it. The token passes through iff the count is 0.
-    neg_counts: FxHashMap<TokKey, u32>,
-    /// Removal index: WME id → output tokens at this level that matched
-    /// it positively. Retracting a WME touches only these tokens instead
-    /// of scanning the level.
-    by_wme: FxHashMap<WmeId, FxHashSet<TokKey>>,
-    /// Cascade index: input-token key → output tokens at this level
-    /// derived from it (pos levels extend the key by one id; neg levels
-    /// pass it through unchanged).
-    children: FxHashMap<TokKey, FxHashSet<TokKey>>,
+    /// Input tokens (previous level's outputs, or the root) by this
+    /// level's join-key values.
+    left_index: FxHashMap<KeyVals, Vec<Tok>>,
+    /// Output tokens; the slots listed in `free` are unused.
+    slab: Vec<Token>,
+    free: Vec<Tok>,
+    /// Removal index (positive levels): WME id → outputs that matched it
+    /// at this level.
+    by_wme: FxHashMap<WmeId, Vec<Tok>>,
 }
 
 impl Level {
-    /// The input-token key an output token at this level derives from.
-    fn parent_key(&self, key: &TokKey) -> TokKey {
-        if self.is_negative() {
-            key.clone()
-        } else {
-            key[..key.len() - 1].into()
-        }
-    }
-
     fn is_negative(&self) -> bool {
         self.ce.polarity == Polarity::Negative
+    }
+
+    /// Live output tokens.
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 
     fn wme_keyvals(&self, wme: &Wme) -> KeyVals {
@@ -111,27 +130,73 @@ impl Level {
             .collect()
     }
 
-    fn token_keyvals(&self, tok: &Token) -> KeyVals {
+    fn token_keyvals(&self, env: &[Value]) -> KeyVals {
         self.keys
             .iter()
-            .map(|&(_, var)| tok.env[var.index()].join_key())
+            .map(|&(_, var)| env[var.index()].join_key())
             .collect()
     }
 
-    /// Does `wme` extend/block `tok` at this level (beta tests only)?
-    /// Uses a scratch env; bindings are not kept. `rule`/`k` address this
-    /// level's compiled code in the evaluator.
-    fn beta_matches(&self, eval: &Evaluator, rule: RuleId, k: usize, tok: &Token, wme: &Wme) -> bool {
-        let mut scratch = tok.env.clone();
-        eval.run_beta(rule, k, wme, &mut scratch)
+    /// Takes a slot for an output of `parent`. A positive level's token
+    /// takes over `env` (handing back the slot's old buffer).
+    fn alloc(&mut self, parent: Tok, wme: Option<(WmeId, WmeRef)>, env: &mut Box<[Value]>) -> Tok {
+        let h = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Token::default());
+            (self.slab.len() - 1) as Tok
+        });
+        let tok = &mut self.slab[h as usize];
+        tok.parent = parent;
+        tok.wme = wme;
+        tok.count = 0;
+        if wme.is_some() {
+            std::mem::swap(&mut tok.env, env);
+        }
+        h
     }
+}
+
+/// Copies `env` into `buf`, allocating only when a fresh slot took the
+/// previous buffer.
+fn load(buf: &mut Box<[Value]>, env: &[Value]) {
+    if buf.len() == env.len() {
+        buf.copy_from_slice(env);
+    } else {
+        *buf = env.into();
+    }
+}
+
+/// Swap-removes position `pos` of `bucket`; returns the handle moved into
+/// `pos`, whose recorded position the caller updates.
+fn swap_out(bucket: &mut Vec<Tok>, pos: u32) -> Option<Tok> {
+    bucket.swap_remove(pos as usize);
+    bucket.get(pos as usize).copied()
+}
+
+/// [`swap_out`] on the bucket under `key`, dropping the bucket once empty.
+fn unfile<K: Hash + Eq>(index: &mut FxHashMap<K, Vec<Tok>>, key: &K, pos: u32) -> Option<Tok> {
+    let bucket = index.get_mut(key).expect("token missing from its bucket");
+    let moved = swap_out(bucket, pos);
+    if bucket.is_empty() {
+        index.remove(key);
+    }
+    moved
+}
+
+/// The state a rule net's delivery shares with the other nets.
+struct Ctx<'a> {
+    alpha: &'a AlphaNetwork,
+    cs: &'a mut ConflictSet,
+    eval: &'a Evaluator,
 }
 
 /// One rule's beta network.
 struct RuleNet {
     rule: RuleId,
     levels: Vec<Level>,
+    /// Level 0's input: no WMEs, every variable unbound.
     root: Token,
+    /// Bindings buffer for beta tests; a joined token takes it over.
+    scratch: Box<[Value]>,
 }
 
 /// The incremental RETE matcher: shared alpha network + per-rule beta
@@ -187,9 +252,7 @@ impl Rete {
             cs,
         }
     }
-}
 
-impl Rete {
     /// Verifies every cross-index of the network agrees (the
     /// differential suite calls this after each batch in debug builds so
     /// index leaks/desyncs surface at the op that caused them, not as a
@@ -199,125 +262,21 @@ impl Rete {
         // Store/node/index/refcount agreement inside the shared layer.
         self.alpha.check_invariants();
         for net in &self.nets {
-            let rule = net.rule.0;
-            for (k, level) in net.levels.iter().enumerate() {
-                // The level's subscription and shared index exist.
-                assert!(
-                    self.alpha.endpoints(level.node).contains(&crate::alpha::Endpoint {
-                        rule: net.rule,
-                        ce: k as u32
-                    }),
-                    "r{rule} L{k}: endpoint missing from its alpha node"
-                );
-                assert!(
-                    self.alpha.index_len(level.node, &level.slots).is_some(),
-                    "r{rule} L{k}: join index missing from its alpha node"
-                );
-                // Tokens and their removal/cascade indexes agree, and
-                // every token ref resolves to the WME its key names.
-                for (key, tok) in &level.tokens {
-                    assert_eq!(key, &tok.key, "r{rule} L{k}: token filed under wrong key");
-                    assert_eq!(
-                        tok.key.len(),
-                        tok.wmes.len(),
-                        "r{rule} L{k}: token key/refs width mismatch"
-                    );
-                    for (id, &wref) in tok.key.iter().zip(&tok.wmes) {
-                        let wme = self
-                            .alpha
-                            .try_wme(wref)
-                            .unwrap_or_else(|| panic!("r{rule} L{k}: token holds stale ref"));
-                        assert_eq!(wme.id, *id, "r{rule} L{k}: token ref/id mismatch");
-                    }
-                    for id in key.iter() {
-                        assert!(
-                            level.by_wme.get(id).is_some_and(|s| s.contains(key)),
-                            "r{rule} L{k}: token missing from by_wme[{id}]"
-                        );
-                    }
-                }
-                for (id, keys) in &level.by_wme {
-                    assert!(!keys.is_empty(), "r{rule} L{k}: empty by_wme[{id}] bucket");
-                    for key in keys {
-                        assert!(
-                            level.tokens.contains_key(key),
-                            "r{rule} L{k}: by_wme[{id}] points at dead token"
-                        );
-                    }
-                }
-                for (parent, kids) in &level.children {
-                    assert!(!kids.is_empty(), "r{rule} L{k}: empty children bucket");
-                    for kid in kids {
-                        assert!(
-                            level.tokens.contains_key(kid),
-                            "r{rule} L{k}: children points at dead token"
-                        );
-                        assert_eq!(
-                            &level.parent_key(kid),
-                            parent,
-                            "r{rule} L{k}: child filed under wrong parent"
-                        );
-                    }
-                }
-                // Left inputs are live tokens of the previous level (or
-                // the permanent root entry at level 0).
-                let mut left_keys: FxHashSet<&TokKey> = FxHashSet::default();
-                for (kv, bucket) in &level.left_index {
-                    assert!(!bucket.is_empty(), "r{rule} L{k}: empty left bucket");
-                    for tkey in bucket {
-                        let tok = if k == 0 {
-                            assert!(tkey.is_empty(), "r{rule} L0: non-root left input");
-                            net.root.clone()
-                        } else {
-                            net.levels[k - 1]
-                                .tokens
-                                .get(tkey)
-                                .unwrap_or_else(|| {
-                                    panic!("r{rule} L{k}: left input not live upstream")
-                                })
-                                .clone()
-                        };
-                        assert_eq!(
-                            &level.token_keyvals(&tok),
-                            kv,
-                            "r{rule} L{k}: left input under wrong key"
-                        );
-                        left_keys.insert(tkey);
-                    }
-                }
-                if level.is_negative() {
-                    // Every live input has exactly one count; no orphans.
-                    assert_eq!(
-                        left_keys.len(),
-                        level.neg_counts.len(),
-                        "r{rule} L{k}: neg_counts/left_index desync"
-                    );
-                    for tkey in level.neg_counts.keys() {
-                        assert!(
-                            left_keys.contains(tkey),
-                            "r{rule} L{k}: orphaned negative count"
-                        );
-                    }
-                }
+            for k in 0..net.depth() {
+                net.check_level(k, &self.alpha, &self.eval);
             }
             // The last level's outputs are exactly this rule's
-            // conflict-set entries.
-            if let Some(last) = net.levels.last() {
-                for key in last.tokens.keys() {
-                    let ik = InstKey {
-                        rule: net.rule,
-                        wmes: key.clone(),
-                    };
-                    assert!(
-                        self.cs.contains(&ik),
-                        "r{rule}: final token missing from conflict set"
-                    );
-                }
+            // conflict-set entries, each once.
+            if net.depth() > 0 {
+                let finals = net.live_toks(net.depth());
+                let keys: FxHashSet<InstKey> = finals.iter().map(|&h| net.key(h)).collect();
                 let in_cs = self.cs.iter().filter(|i| i.rule == net.rule).count();
-                assert_eq!(
-                    in_cs,
-                    last.tokens.len(),
-                    "r{rule}: conflict set/final level desync"
+                assert!(
+                    keys.len() == finals.len()
+                        && keys.len() == in_cs
+                        && keys.iter().all(|k| self.cs.contains(k)),
+                    "r{}: final tokens and conflict set disagree",
+                    net.rule.0
                 );
             }
         }
@@ -342,7 +301,7 @@ fn build_net(
     eval: &Evaluator,
 ) -> RuleNet {
     let rule = program.rule(rid);
-    let mut levels: Vec<Level> = rule
+    let levels: Vec<Level> = rule
         .ces
         .iter()
         .enumerate()
@@ -357,45 +316,34 @@ fn build_net(
                 slots,
                 node,
                 left_index: FxHashMap::default(),
-                tokens: FxHashMap::default(),
-                neg_counts: FxHashMap::default(),
+                slab: Vec::new(),
+                free: Vec::new(),
                 by_wme: FxHashMap::default(),
-                children: FxHashMap::default(),
             }
         })
         .collect();
     let root = Token {
-        key: Arc::from(Vec::new()),
-        wmes: Vec::new(),
         env: vec![Value::NIL; rule.num_vars as usize].into(),
+        ..Token::default()
     };
-    if levels.is_empty() {
+    let mut net = RuleNet {
+        rule: rid,
+        levels,
+        root,
+        scratch: Box::default(),
+    };
+    if net.levels.is_empty() {
         // No CEs at all: both the `parulel-lang` parser (empty LHS) and
         // `Program::add_rule` (no positive CE) reject such rules, so this
         // is unreachable through the public pipeline — but match
         // vacuously (once, like enumeration-based matchers would) rather
         // than leave a latent `levels[0]` panic below.
-        cs.insert(Instantiation::new(rid, Vec::<Wme>::new(), root.env.to_vec()));
-        return RuleNet {
-            rule: rid,
-            levels,
-            root,
-        };
+        cs.insert(Instantiation::new(rid, Vec::<Wme>::new(), &*net.root.env));
+    } else {
+        // Register the root as level 0's input, deriving the token set
+        // from whatever the store already holds.
+        net.enter(0, ROOT, &mut Ctx { alpha, cs, eval });
     }
-    // Register the root token as input to level 0, then batch-derive the
-    // token set from whatever the store already holds.
-    let kv = levels[0].token_keyvals(&root);
-    levels[0]
-        .left_index
-        .entry(kv)
-        .or_default()
-        .insert(root.key.clone());
-    let mut net = RuleNet {
-        rule: rid,
-        levels,
-        root,
-    };
-    net.activate_root(alpha, cs, eval);
     net
 }
 
@@ -405,268 +353,310 @@ impl RuleNet {
         self.levels.len()
     }
 
-    /// Drives the root token into level 0, computing counts/joins from
-    /// full node membership — the batch half of net construction.
-    fn activate_root(&mut self, alpha: &AlphaNetwork, cs: &mut ConflictSet, eval: &Evaluator) {
-        let root = self.root.clone();
-        if self.levels[0].is_negative() {
-            let count = self.blocker_count(0, &root, alpha, eval);
-            self.levels[0].neg_counts.insert(root.key.clone(), count);
-            if count == 0 && self.neg_pass_tests(0, &root, eval) {
-                self.insert_token(0, root, alpha, cs, eval);
-            }
-        } else {
-            let kv = self.levels[0].token_keyvals(&root);
-            let candidates: Vec<WmeRef> =
-                match alpha.index_bucket(self.levels[0].node, &self.levels[0].slots, &kv) {
-                    Some(bucket) => bucket.iter().copied().collect(),
-                    None => Vec::new(),
-                };
-            for r in candidates {
-                if let Some(t2) = self.extend(0, &root, r, alpha, eval) {
-                    self.insert_token(0, t2, alpha, cs, eval);
+    /// Token `h` at position `k`: the root for `k == 0`, else an output
+    /// of level `k - 1` (position `k` holds level `k`'s inputs).
+    fn tok(&self, k: usize, h: Tok) -> &Token {
+        match k {
+            0 => &self.root,
+            _ => &self.levels[k - 1].slab[h as usize],
+        }
+    }
+
+    fn tok_mut(&mut self, k: usize, h: Tok) -> &mut Token {
+        match k {
+            0 => &mut self.root,
+            _ => &mut self.levels[k - 1].slab[h as usize],
+        }
+    }
+
+    /// Live input tokens of level `k`.
+    fn inputs(&self, k: usize) -> usize {
+        k.checked_sub(1).map_or(1, |j| self.levels[j].live())
+    }
+
+    /// Live tokens at position `k`.
+    fn live_toks(&self, k: usize) -> Vec<Tok> {
+        match k {
+            0 => vec![ROOT],
+            _ => (0..self.levels[k - 1].slab.len() as Tok)
+                .filter(|&h| self.tok(k, h).parent != FREE)
+                .collect(),
+        }
+    }
+
+    /// [`Rete::check_invariants`] for level `k`.
+    fn check_level(&self, k: usize, alpha: &AlphaNetwork, eval: &Evaluator) {
+        let (level, at) = (&self.levels[k], format!("r{} L{k}", self.rule.0));
+        let endpoint = Endpoint {
+            rule: self.rule,
+            ce: k as u32,
+        };
+        assert!(
+            alpha.endpoints(level.node).contains(&endpoint),
+            "{at}: no endpoint"
+        );
+        assert!(
+            alpha.index_len(level.node, &level.slots).is_some(),
+            "{at}: no join index"
+        );
+        let mut free = level.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        let unused =
+            (0..level.slab.len() as Tok).filter(|&h| level.slab[h as usize].parent == FREE);
+        assert!(
+            free.len() == level.free.len() && free.into_iter().eq(unused),
+            "{at}: free list"
+        );
+        // Every output sits under its parent and in its removal bucket at
+        // the recorded positions, and holds a live member of the node.
+        for h in self.live_toks(k + 1) {
+            let tok = self.tok(k + 1, h);
+            let parent = self.tok(k, tok.parent);
+            let sibling = parent.children.get(tok.child_pos as usize);
+            assert_eq!(sibling, Some(&h), "{at}: token missing under its parent");
+            match tok.wme {
+                Some((id, wref)) => {
+                    assert_eq!(
+                        alpha.try_wme(wref).map(|w| w.id),
+                        Some(id),
+                        "{at}: stale ref"
+                    );
+                    assert!(
+                        alpha.members(level.node).contains_key(&id),
+                        "{at}: not a member"
+                    );
+                    let filed = level
+                        .by_wme
+                        .get(&id)
+                        .and_then(|b| b.get(tok.wme_pos as usize));
+                    assert_eq!(filed, Some(&h), "{at}: token missing from by_wme[{id}]");
                 }
+                None => assert!(
+                    level.is_negative() && parent.count == 0,
+                    "{at}: pass-through"
+                ),
+            }
+        }
+        // Inputs are filed in the left index at their positions, their
+        // children are exactly the outputs, and negative counts and
+        // pass-throughs agree with a recount.
+        let inputs = self.live_toks(k);
+        let filed: usize = level.left_index.values().map(Vec::len).sum();
+        let kids: usize = inputs.iter().map(|&h| self.tok(k, h).children.len()).sum();
+        let removable: usize = level.by_wme.values().map(Vec::len).sum();
+        let want_removable = if level.is_negative() { 0 } else { level.live() };
+        assert_eq!(
+            (filed, kids, removable),
+            (inputs.len(), level.live(), want_removable),
+            "{at}: index sizes"
+        );
+        let mut buckets = level.by_wme.values().chain(level.left_index.values());
+        assert!(buckets.all(|b| !b.is_empty()), "{at}: empty bucket");
+        for h in inputs {
+            let (tok, env) = (self.tok(k, h), self.env(k, h));
+            let kv = level.token_keyvals(env);
+            let filed = level
+                .left_index
+                .get(&kv)
+                .and_then(|b| b.get(tok.left_pos as usize));
+            assert_eq!(filed, Some(&h), "{at}: input missing from the left index");
+            if level.is_negative() {
+                let blockers = alpha.index_bucket(level.node, &level.slots, &kv);
+                let count = (blockers.into_iter().flatten())
+                    .filter(|&&r| eval.run_beta(self.rule, k, alpha.wme(r), &mut env.to_vec()))
+                    .count();
+                let pass = count == 0 && eval.tests_pass_at(self.rule, k, env);
+                let got = (tok.count as usize, tok.children.len());
+                assert_eq!(got, (count, usize::from(pass)), "{at}: stale count");
             }
         }
     }
 
-    /// How many members of negative level `k`'s alpha node are consistent
-    /// with `tok` (the level's count table value for a fresh input).
-    fn blocker_count(&self, k: usize, tok: &Token, alpha: &AlphaNetwork, eval: &Evaluator) -> u32 {
-        let level = &self.levels[k];
-        let kv = level.token_keyvals(tok);
-        match alpha.index_bucket(level.node, &level.slots, &kv) {
-            Some(bucket) => bucket
-                .iter()
-                .filter(|&&r| level.beta_matches(eval, self.rule, k, tok, alpha.wme(r)))
-                .count() as u32,
-            None => 0,
+    /// Bindings of token `h` at position `k` (found up the parent chain
+    /// past negative levels).
+    fn env(&self, mut k: usize, mut h: Tok) -> &[Value] {
+        while k > 0 && self.levels[k - 1].is_negative() {
+            h = self.levels[k - 1].slab[h as usize].parent;
+            k -= 1;
         }
+        &self.tok(k, h).env
     }
 
-    /// Extends `tok` with the WME behind `wref` at positive level `k`, if
-    /// consistent. Copies the 8-byte handle, never the payload.
-    fn extend(
-        &self,
-        k: usize,
-        tok: &Token,
-        wref: WmeRef,
-        alpha: &AlphaNetwork,
-        eval: &Evaluator,
-    ) -> Option<Token> {
-        let wme = alpha.wme(wref);
-        let mut env = tok.env.clone();
-        if !eval.run_beta(self.rule, k, wme, &mut env) {
-            return None;
+    /// The WMEs matched by token `h` at position `k`, in CE order.
+    fn chain(&self, mut k: usize, mut h: Tok) -> Vec<(WmeId, WmeRef)> {
+        let mut out = Vec::new();
+        while k > 0 {
+            let tok = self.tok(k, h);
+            out.extend(tok.wme);
+            (k, h) = (k - 1, tok.parent);
         }
-        if !eval.tests_pass_at(self.rule, k, &env) {
-            return None;
+        out.reverse();
+        out
+    }
+
+    /// Whether token `h` at position `k` matched the WME `id`.
+    fn contains(&self, mut k: usize, mut h: Tok, id: WmeId) -> bool {
+        while k > 0 {
+            let tok = self.tok(k, h);
+            if tok.wme.is_some_and(|(w, _)| w == id) {
+                return true;
+            }
+            (k, h) = (k - 1, tok.parent);
         }
-        let mut key: Vec<WmeId> = tok.key.to_vec();
-        key.push(wme.id);
-        let mut wmes = tok.wmes.clone();
-        wmes.push(wref);
-        Some(Token {
-            key: key.into(),
+        false
+    }
+
+    /// The conflict-set key of final token `h`.
+    fn key(&self, h: Tok) -> InstKey {
+        let wmes = self
+            .chain(self.depth(), h)
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        InstKey {
+            rule: self.rule,
             wmes,
-            env,
-        })
+        }
     }
 
-    /// For a token passing *through* negative level `k`: anchored tests
-    /// must still hold (env is unchanged).
-    fn neg_pass_tests(&self, k: usize, tok: &Token, eval: &Evaluator) -> bool {
-        eval.tests_pass_at(self.rule, k, &tok.env)
+    /// Does `wme` pass level `k`'s beta tests against its input `h`? The
+    /// bindings are left in `self.scratch`.
+    fn beta(&mut self, k: usize, h: Tok, wme: &Wme, eval: &Evaluator) -> bool {
+        let mut buf = std::mem::take(&mut self.scratch);
+        load(&mut buf, self.env(k, h));
+        let pass = eval.run_beta(self.rule, k, wme, &mut buf);
+        self.scratch = buf;
+        pass
     }
 
-    /// Inserts `tok` as an output of level `k` and propagates downstream.
-    fn insert_token(
-        &mut self,
-        k: usize,
-        tok: Token,
-        alpha: &AlphaNetwork,
-        cs: &mut ConflictSet,
-        eval: &Evaluator,
-    ) {
-        if self.levels[k]
-            .tokens
-            .insert(tok.key.clone(), tok.clone())
-            .is_some()
-        {
-            return; // already present (idempotent)
-        }
-        for id in tok.key.iter() {
-            self.levels[k]
-                .by_wme
-                .entry(*id)
-                .or_default()
-                .insert(tok.key.clone());
-        }
-        let parent = self.levels[k].parent_key(&tok.key);
-        self.levels[k]
-            .children
-            .entry(parent)
-            .or_default()
-            .insert(tok.key.clone());
-        if k + 1 == self.depth() {
-            // The only place full WME payloads are cloned: materializing
-            // the instantiation handed to the conflict set.
-            let wmes: Vec<Wme> = tok.wmes.iter().map(|&r| alpha.wme(r).clone()).collect();
-            cs.insert(Instantiation::new(self.rule, wmes, tok.env.to_vec()));
-            return;
-        }
-        let next = k + 1;
-        let kv = self.levels[next].token_keyvals(&tok);
-        self.levels[next]
-            .left_index
-            .entry(kv.clone())
-            .or_default()
-            .insert(tok.key.clone());
-        if self.levels[next].is_negative() {
-            let count = self.blocker_count(next, &tok, alpha, eval);
-            self.levels[next].neg_counts.insert(tok.key.clone(), count);
-            if count == 0 && self.neg_pass_tests(next, &tok, eval) {
-                self.insert_token(next, tok, alpha, cs, eval);
+    /// The current input tokens of level `k` whose join keys match `wme`.
+    fn left_inputs(&self, k: usize, wme: &Wme) -> Vec<Tok> {
+        let level = &self.levels[k];
+        let kv = level.wme_keyvals(wme);
+        level.left_index.get(&kv).cloned().unwrap_or_default()
+    }
+
+    /// Files token `h` at position `k` as an input of level `k` and
+    /// derives what it yields there: its blocker count at a negative
+    /// level, its joins at a positive one.
+    fn enter(&mut self, k: usize, h: Tok, cx: &mut Ctx) {
+        let (level, alpha) = (&self.levels[k], cx.alpha);
+        let kv = level.token_keyvals(self.env(k, h));
+        let candidates = alpha.index_bucket(level.node, &level.slots, &kv);
+        let bucket = self.levels[k].left_index.entry(kv).or_default();
+        let pos = bucket.len() as u32;
+        bucket.push(h);
+        self.tok_mut(k, h).left_pos = pos;
+        let candidates = candidates.into_iter().flatten();
+        if self.levels[k].is_negative() {
+            let count = candidates.filter(|&&r| self.beta(k, h, alpha.wme(r), cx.eval));
+            let count = count.count() as u32;
+            self.tok_mut(k, h).count = count;
+            if count == 0 {
+                self.pass_through(k, h, cx);
             }
         } else {
-            // Handle copies only — candidate payloads stay in the shared
-            // store; this Vec exists to end the borrow of `self.levels`
-            // before the recursive insert below.
-            let candidates: Vec<WmeRef> =
-                match alpha.index_bucket(self.levels[next].node, &self.levels[next].slots, &kv) {
-                    Some(bucket) => bucket.iter().copied().collect(),
-                    None => Vec::new(),
-                };
-            for r in candidates {
-                if let Some(t2) = self.extend(next, &tok, r, alpha, eval) {
-                    self.insert_token(next, t2, alpha, cs, eval);
-                }
+            for &r in candidates {
+                self.join(k, h, r, cx);
             }
         }
     }
 
-    /// Removes the output token with `key` from level `k`, cascading into
-    /// deeper levels and the conflict set. Tolerates already-absent keys.
-    fn remove_output(&mut self, k: usize, key: &TokKey, cs: &mut ConflictSet) {
-        let Some(tok) = self.levels[k].tokens.remove(key) else {
-            return;
-        };
-        for id in tok.key.iter() {
-            let emptied = match self.levels[k].by_wme.get_mut(id) {
-                Some(set) => {
-                    set.remove(&tok.key);
-                    set.is_empty()
-                }
-                None => false,
-            };
-            if emptied {
-                self.levels[k].by_wme.remove(id);
-            }
-        }
-        let parent = self.levels[k].parent_key(&tok.key);
-        let emptied = match self.levels[k].children.get_mut(&parent) {
-            Some(set) => {
-                set.remove(&tok.key);
-                set.is_empty()
-            }
-            None => false,
-        };
-        if emptied {
-            self.levels[k].children.remove(&parent);
-        }
-        if k + 1 == self.depth() {
-            cs.remove(&InstKey {
-                rule: self.rule,
-                wmes: tok.key.clone(),
-            });
-            return;
-        }
-        let next = k + 1;
-        let kv = self.levels[next].token_keyvals(&tok);
-        let emptied = match self.levels[next].left_index.get_mut(&kv) {
-            Some(bucket) => {
-                bucket.remove(&tok.key);
-                bucket.is_empty()
-            }
-            None => false,
-        };
-        if emptied {
-            self.levels[next].left_index.remove(&kv);
-        }
-        if self.levels[next].is_negative() {
-            self.levels[next].neg_counts.remove(&tok.key);
-        }
-        // Cascade: every output at the next level derived from this token.
-        if let Some(kids) = self.levels[next].children.get(&tok.key) {
-            let victims: Vec<TokKey> = kids.iter().cloned().collect();
-            for v in victims {
-                self.remove_output(next, &v, cs);
-            }
+    /// Extends input `h` of positive level `k` with the WME behind `wref`,
+    /// if consistent. Copies the 8-byte handle, never the payload.
+    fn join(&mut self, k: usize, h: Tok, wref: WmeRef, cx: &mut Ctx) {
+        let wme = cx.alpha.wme(wref);
+        if self.beta(k, h, wme, cx.eval) && cx.eval.tests_pass_at(self.rule, k, &self.scratch) {
+            self.insert(k, h, Some((wme.id, wref)), cx);
         }
     }
 
-    /// The input token of level `k` with `key`, if still live.
-    fn input_token(&self, k: usize, key: &TokKey) -> Option<Token> {
-        if k == 0 {
-            (key.is_empty()).then(|| self.root.clone())
+    /// Passes unblocked input `h` through negative level `k` if its
+    /// anchored tests hold (its bindings are unchanged).
+    fn pass_through(&mut self, k: usize, h: Tok, cx: &mut Ctx) {
+        if cx.eval.tests_pass_at(self.rule, k, self.env(k, h)) {
+            self.insert(k, h, None, cx);
+        }
+    }
+
+    /// Adds an output of level `k` under input `parent` — a positive
+    /// level's bindings come from `self.scratch` — and propagates it.
+    fn insert(&mut self, k: usize, parent: Tok, wme: Option<(WmeId, WmeRef)>, cx: &mut Ctx) {
+        let mut buf = std::mem::take(&mut self.scratch);
+        let h = self.levels[k].alloc(parent, wme, &mut buf);
+        self.scratch = buf;
+        let siblings = &mut self.tok_mut(k, parent).children;
+        let child_pos = siblings.len() as u32;
+        siblings.push(h);
+        let level = &mut self.levels[k];
+        level.slab[h as usize].child_pos = child_pos;
+        if let Some((id, _)) = wme {
+            let bucket = level.by_wme.entry(id).or_default();
+            level.slab[h as usize].wme_pos = bucket.len() as u32;
+            bucket.push(h);
+        }
+        if k + 1 < self.depth() {
+            return self.enter(k + 1, h, cx);
+        }
+        // The only place full WME payloads are cloned: materializing the
+        // instantiation handed to the conflict set.
+        let wmes = self.chain(k + 1, h).into_iter();
+        let wmes: Vec<Wme> = wmes.map(|(_, r)| cx.alpha.wme(r).clone()).collect();
+        cx.cs
+            .insert(Instantiation::new(self.rule, wmes, self.env(k + 1, h)));
+    }
+
+    /// Removes output `h` of level `k` and everything derived from it,
+    /// children first, so a final token's chain is live while its
+    /// conflict-set key is built.
+    fn remove(&mut self, k: usize, h: Tok, cs: &mut ConflictSet) {
+        while let Some(&c) = self.levels[k].slab[h as usize].children.last() {
+            self.remove(k + 1, c, cs);
+        }
+        if let Some(next) = self.levels.get(k + 1) {
+            let kv = next.token_keyvals(self.env(k + 1, h));
+            let pos = self.levels[k].slab[h as usize].left_pos;
+            if let Some(m) = unfile(&mut self.levels[k + 1].left_index, &kv, pos) {
+                self.levels[k].slab[m as usize].left_pos = pos;
+            }
         } else {
-            self.levels[k - 1].tokens.get(key).cloned()
+            cs.remove(&self.key(h));
+        }
+        let level = &mut self.levels[k];
+        let tok = &level.slab[h as usize];
+        let (parent, child_pos, wme_pos) = (tok.parent, tok.child_pos, tok.wme_pos);
+        if let Some((id, _)) = tok.wme {
+            if let Some(m) = unfile(&mut level.by_wme, &id, wme_pos) {
+                level.slab[m as usize].wme_pos = wme_pos;
+            }
+        }
+        level.slab[h as usize].parent = FREE;
+        level.free.push(h);
+        if let Some(m) = swap_out(&mut self.tok_mut(k, parent).children, child_pos) {
+            self.levels[k].slab[m as usize].child_pos = child_pos;
         }
     }
 
     /// Beta delivery for one added WME, at the levels (`hits`, ascending)
     /// whose shared alpha nodes it entered.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_add(
-        &mut self,
-        hits: &[usize],
-        wref: WmeRef,
-        wme: &Wme,
-        alpha: &AlphaNetwork,
-        cs: &mut ConflictSet,
-        eval: &Evaluator,
-    ) {
-        // Node membership was updated before delivery, so any token
-        // created from here on computes counts that already include the
-        // new WME. Those freshly-built tokens are exactly the ones whose
-        // key carries the new WME's id (every insert during an add
-        // delivery descends from an extension with it, and the id is
-        // fresh), so they are skipped by inspecting the key — tokens that
-        // predate the add cannot reference the id. No per-delivery
-        // snapshot of the count table is needed.
-        for &k in hits {
-            let kv = self.levels[k].wme_keyvals(wme);
-            let left: Vec<TokKey> = self.levels[k]
-                .left_index
-                .get(&kv)
-                .map(|b| b.iter().cloned().collect())
-                .unwrap_or_default();
-            if self.levels[k].is_negative() {
-                for tkey in left {
-                    if tkey.contains(&wme.id) {
-                        continue; // built during this delivery: fresh count
-                    }
-                    let Some(tok) = self.input_token(k, &tkey) else {
-                        continue;
-                    };
-                    if self.levels[k].beta_matches(eval, self.rule, k, &tok, wme) {
-                        let count = self.levels[k]
-                            .neg_counts
-                            .get_mut(&tkey)
-                            .expect("input token without a negative count");
-                        *count += 1;
-                        if *count == 1 {
-                            self.remove_output(k, &tkey, cs);
-                        }
-                    }
+    fn deliver_add(&mut self, hits: &[usize], wref: WmeRef, wme: &Wme, cx: &mut Ctx) {
+        for (i, &k) in hits.iter().enumerate() {
+            // Inputs built during this delivery contain the WME (only
+            // possible once it matched a shallower positive level) and
+            // already saw it: skip them.
+            let fresh = hits[..i].iter().any(|&j| !self.levels[j].is_negative());
+            for h in self.left_inputs(k, wme) {
+                if fresh && self.contains(k, h, wme.id) {
+                    continue;
                 }
-            } else {
-                for tkey in left {
-                    let Some(tok) = self.input_token(k, &tkey) else {
-                        continue;
-                    };
-                    if let Some(t2) = self.extend(k, &tok, wref, alpha, eval) {
-                        self.insert_token(k, t2, alpha, cs, eval);
+                if !self.levels[k].is_negative() {
+                    self.join(k, h, wref, cx);
+                } else if self.beta(k, h, wme, cx.eval) {
+                    let tok = self.tok_mut(k, h);
+                    tok.count += 1;
+                    if let (1, Some(&child)) = (tok.count, tok.children.first()) {
+                        self.remove(k, child, cx.cs);
                     }
                 }
             }
@@ -675,61 +665,28 @@ impl RuleNet {
 
     /// Beta retraction for one removed WME (already gone from the shared
     /// store), at the levels whose nodes it left.
-    fn deliver_remove(
-        &mut self,
-        hits: &[usize],
-        wme: &Wme,
-        alpha: &AlphaNetwork,
-        cs: &mut ConflictSet,
-        eval: &Evaluator,
-    ) {
-        // 1. Retract every token that positively matched the WME, straight
-        //    from the per-WME index; scanning shallow-to-deep lets the
-        //    cascade do most of the work (deeper entries are usually gone
-        //    by the time their level is reached). This phase only removes,
-        //    never inserts.
-        for k in 0..self.depth() {
-            let victims: Vec<TokKey> = self.levels[k]
-                .by_wme
-                .get(&wme.id)
-                .map(|set| set.iter().cloned().collect())
-                .unwrap_or_default();
-            for v in victims {
-                self.remove_output(k, &v, cs);
+    fn deliver_remove(&mut self, hits: &[usize], wme: &Wme, cx: &mut Ctx) {
+        // 1. Retract, shallow to deep, the tokens that matched the WME
+        //    themselves; the cascade takes every token containing it
+        //    (deeper buckets are usually empty by the time their level is
+        //    reached). This phase only removes, never inserts.
+        for &k in hits {
+            while let Some(&h) = self.levels[k].by_wme.get(&wme.id).and_then(|b| b.last()) {
+                self.remove(k, h, cx.cs);
             }
         }
-        // 2. Negative re-activation, deepest level first: live input
-        //    tokens that were blocked only by this WME start passing.
-        //    A re-activation at level k only inserts tokens at levels
-        //    deeper than k — whose counts are computed fresh from the
-        //    already-shrunk membership and must not be decremented — and
-        //    deepest-first ordering guarantees those levels were already
-        //    handled, so every entry seen here predates the delivery and
-        //    its count included the WME.
-        let neg_hits: Vec<usize> = hits
-            .iter()
-            .copied()
-            .filter(|&k| self.levels[k].is_negative())
-            .collect();
-        for &k in neg_hits.iter().rev() {
-            let kv = self.levels[k].wme_keyvals(wme);
-            let left: Vec<TokKey> = self.levels[k]
-                .left_index
-                .get(&kv)
-                .map(|b| b.iter().cloned().collect())
-                .unwrap_or_default();
-            for tkey in left {
-                let Some(tok) = self.input_token(k, &tkey) else {
-                    continue;
-                };
-                if self.levels[k].beta_matches(eval, self.rule, k, &tok, wme) {
-                    let count = self.levels[k]
-                        .neg_counts
-                        .get_mut(&tkey)
-                        .expect("input token without a negative count");
-                    *count -= 1;
-                    if *count == 0 && self.neg_pass_tests(k, &tok, eval) {
-                        self.insert_token(k, tok, alpha, cs, eval);
+        // 2. Negative re-activation, deepest level first (see the module
+        //    docs): live inputs blocked only by this WME start passing.
+        for &k in hits.iter().rev() {
+            if !self.levels[k].is_negative() {
+                continue;
+            }
+            for h in self.left_inputs(k, wme) {
+                if self.beta(k, h, wme, cx.eval) {
+                    let tok = self.tok_mut(k, h);
+                    tok.count -= 1;
+                    if tok.count == 0 {
+                        self.pass_through(k, h, cx);
                     }
                 }
             }
@@ -759,9 +716,14 @@ impl Matcher for Rete {
         // the payload once; beta delivery fans out to the subscribers.
         let (wref, entered) = self.alpha.add(wme);
         let mut by_rule = hits_by_rule(&self.alpha, &entered);
+        let cx = &mut Ctx {
+            alpha: &self.alpha,
+            cs: &mut self.cs,
+            eval: &self.eval,
+        };
         for net in &mut self.nets {
             if let Some(hits) = by_rule.remove(&net.rule) {
-                net.deliver_add(&hits, wref, wme, &self.alpha, &mut self.cs, &self.eval);
+                net.deliver_add(&hits, wref, wme, cx);
             }
         }
     }
@@ -771,9 +733,14 @@ impl Matcher for Rete {
             return; // never added — nothing can reference it
         };
         let mut by_rule = hits_by_rule(&self.alpha, &left);
+        let cx = &mut Ctx {
+            alpha: &self.alpha,
+            cs: &mut self.cs,
+            eval: &self.eval,
+        };
         for net in &mut self.nets {
             if let Some(hits) = by_rule.remove(&net.rule) {
-                net.deliver_remove(&hits, &payload, &self.alpha, &mut self.cs, &self.eval);
+                net.deliver_remove(&hits, &payload, cx);
             }
         }
     }
@@ -802,16 +769,18 @@ impl Matcher for Rete {
         }
         for net in &self.nets {
             let mut work = cs_by_rule.get(&net.rule.0).copied().unwrap_or(0);
-            for level in &net.levels {
+            for (k, level) in net.levels.iter().enumerate() {
                 // Per-subscription accounting (a shared node counts once
                 // per subscribing level), so `alpha_wmes`, per-rule work
                 // and the imbalance signal keep their pre-sharing values
                 // and auto-ccc decisions are unchanged.
                 let members = self.alpha.members(level.node).len();
                 m.alpha_wmes += members;
-                m.beta_tokens += level.tokens.len();
-                m.negative_counts += level.neg_counts.len();
-                work += members + level.tokens.len();
+                m.beta_tokens += level.live();
+                if level.is_negative() {
+                    m.negative_counts += net.inputs(k);
+                }
+                work += members + level.live();
             }
             m.per_rule_work.push((net.rule.0, work));
         }
@@ -1093,30 +1062,19 @@ mod tests {
         assert_eq!(m.conflict_set().len(), 0);
         assert_eq!(m.alpha.store_len(), 0, "arena did not drain");
         for net in &m.nets {
+            assert!(net.root.children.is_empty(), "root kept children");
             for (k, level) in net.levels.iter().enumerate() {
                 assert!(
                     m.alpha.members(level.node).is_empty(),
                     "level {k} node membership not empty"
                 );
-                assert!(level.tokens.is_empty(), "level {k} tokens not empty");
+                assert_eq!(level.live(), 0, "level {k} tokens not empty");
                 assert!(level.by_wme.is_empty(), "level {k} wme index leaked");
-                assert!(level.children.is_empty(), "level {k} child index leaked");
                 // The only permanent entry is the root token registered as
-                // level 0's input (plus its count when level 0 is
-                // negative) — everything else must drain.
-                if k == 0 {
-                    let entries: usize = level.left_index.values().map(|b| b.len()).sum();
-                    assert_eq!(entries, 1, "level 0 must keep exactly the root input");
-                    assert!(
-                        level.left_index.values().flatten().all(|t| t.is_empty()),
-                        "level 0 left input is not the root token"
-                    );
-                    let want_counts = usize::from(level.is_negative());
-                    assert_eq!(level.neg_counts.len(), want_counts, "level 0 neg_counts");
-                } else {
-                    assert!(level.left_index.is_empty(), "level {k} left index leaked");
-                    assert!(level.neg_counts.is_empty(), "level {k} neg counts leaked");
-                }
+                // level 0's input — everything else must drain.
+                let entries: Vec<Tok> = level.left_index.values().flatten().copied().collect();
+                let want = if k == 0 { vec![ROOT] } else { Vec::new() };
+                assert_eq!(entries, want, "level {k} left index");
             }
         }
         m.check_invariants();
@@ -1181,5 +1139,96 @@ mod tests {
         );
         shared.check_invariants();
         solo.check_invariants();
+    }
+
+    #[test]
+    fn self_join_with_a_self_loop_in_one_batch() {
+        // `(edge 3 3)` enters both levels of the self-join in the same
+        // delivery: the level-1 join of the token it builds at level 0
+        // already sees it, so level 1's own delivery must skip that input
+        // rather than build `3-3 3-3` a second time.
+        let p = prog(
+            "(literalize edge from to)
+             (p hop (edge ^from <a> ^to <b>) (edge ^from <b> ^to <c>) --> (halt))",
+        );
+        let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let wmes: Vec<Wme> = [(3, 3), (2, 3), (3, 4)]
+            .iter()
+            .map(|&(a, b)| wm.insert(edge, vec![Value::Int(a), Value::Int(b)]))
+            .collect();
+        let mut naive = crate::NaiveMatcher::new(p.clone());
+        naive.apply(&[], &wmes);
+        let want = naive.conflict_set().sorted_keys();
+        // 3-3 3-3, 3-3 3-4, 2-3 3-3, 2-3 3-4
+        assert_eq!(want.len(), 4);
+        for order in permutations(&[0, 1, 2]) {
+            let batch: Vec<Wme> = order.iter().map(|&i| wmes[i].clone()).collect();
+            let mut m = Rete::new(p.clone());
+            m.apply(&[], &batch);
+            m.check_invariants();
+            assert_eq!(m.conflict_set().sorted_keys(), want, "order {order:?}");
+            assert_eq!(
+                m.metrics().beta_tokens,
+                3 + 4,
+                "order {order:?}: duplicate tokens"
+            );
+        }
+    }
+
+    #[test]
+    fn slab_slots_are_reused_under_churn() {
+        let p = prog(
+            "(literalize a x)
+             (literalize b x)
+             (literalize c x)
+             (p r (a ^x <v>) -(b ^x <v>) (c ^x <v>) --> (halt))",
+        );
+        let class = |n: &str| p.classes.id_of(p.interner.intern(n)).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut wmes = Vec::new();
+        for (name, vals) in [("a", 0..6), ("c", 0..6), ("b", 0..2), ("a", 3..6)] {
+            for v in vals {
+                wmes.push(wm.insert(class(name), vec![Value::Int(v)]));
+            }
+        }
+        let mut m = Rete::new(p.clone());
+        let live = |m: &Rete| -> Vec<usize> { m.nets[0].levels.iter().map(Level::live).collect() };
+        let mut peak = vec![0; 3];
+        let mut observe = |m: &Rete| {
+            for (p, l) in peak.iter_mut().zip(live(m)) {
+                *p = (*p).max(l);
+            }
+            peak.clone()
+        };
+        for _ in 0..200 {
+            for w in &wmes {
+                m.add_wme(w);
+                observe(&m);
+            }
+            for w in &wmes {
+                m.remove_wme(w);
+                observe(&m);
+            }
+            let peak = observe(&m);
+            for (k, level) in m.nets[0].levels.iter().enumerate() {
+                assert!(
+                    level.slab.len() <= peak[k],
+                    "level {k} slab grew past its peak"
+                );
+            }
+            assert_eq!(live(&m), [0, 0, 0]);
+            m.check_invariants();
+        }
+        assert!(peak.iter().all(|&n| n > 0), "churn never reached a level");
+        m.apply(&[], &wmes);
+        m.check_invariants();
+        let mut fresh = Rete::new(p.clone());
+        fresh.apply(&[], &wmes);
+        assert_eq!(
+            m.conflict_set().sorted_keys(),
+            fresh.conflict_set().sorted_keys()
+        );
+        assert_eq!(m.metrics(), fresh.metrics());
     }
 }
