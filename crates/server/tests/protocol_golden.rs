@@ -178,6 +178,16 @@ fn malformed_frames_return_structured_errors() {
 }
 
 #[test]
+fn deeply_nested_frame_is_refused_and_the_server_keeps_answering() {
+    let mut server = Server::new(ServerConfig::default());
+    let r = server.handle_line(&"[".repeat(1 << 20)).unwrap();
+    assert_eq!(error_kind(&r), "parse");
+    assert!(r.contains("nesting deeper than"), "{r}");
+    let r = server.handle_line(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(r, r#"{"ok":true,"op":"ping"}"#);
+}
+
+#[test]
 fn inject_to_closed_session_is_unknown() {
     let mut server = Server::new(ServerConfig::default());
     server.handle_line(&open_frame("s1")).unwrap();
