@@ -62,8 +62,7 @@ SERVE OPTIONS:
   --snapshot-every N            compact a session's WAL after N logged
                                 frames (0 disables)              [64]
   --workers N                   shard sessions across N shared-nothing
-                                scheduler threads (needs --tcp or
-                                --socket)                        [1]
+                                scheduler threads                [1]
   --run-quantum N               slice long runs into N-cycle quanta so
                                 sessions sharing a shard interleave
                                 (0 = unsliced)                   [32]
@@ -156,9 +155,8 @@ pub struct ServeOpts {
     /// disables automatic compaction).
     pub snapshot_every: u64,
     /// Scheduler worker threads: sessions shard across this many
-    /// shared-nothing workers (socket transports only; 1 = the
-    /// single-threaded scheduler, still byte-compatible with the
-    /// legacy single-lock server).
+    /// shared-nothing workers (1 = the single-threaded scheduler, whose
+    /// responses pass through unmerged).
     pub workers: usize,
     /// Step quantum: a long `run` executes in slices of this many
     /// cycles so neighbor sessions on the same shard interleave
@@ -409,12 +407,6 @@ impl Command {
                     && (opts.wal_sync != "always" || opts.snapshot_every != 64)
                 {
                     return Err("--wal-sync/--snapshot-every need --wal-dir".into());
-                }
-                if opts.transport == ServeTransport::Stdio && opts.workers > 1 {
-                    // Stdio is one synchronous pipe — there is nothing to
-                    // shard, and pretending otherwise would silently serve
-                    // different semantics than the flag promises.
-                    return Err("--workers needs --tcp or --socket".into());
                 }
                 Ok(Command::Serve(Box::new(opts)))
             }
@@ -721,9 +713,11 @@ mod tests {
             panic!()
         };
         assert_eq!(o.run_quantum, 0);
-        // Quantum without extra workers is fine on stdio (there is a
-        // scheduler of one behind sockets, none behind stdio).
-        assert!(parse(&["serve", "--workers", "1"]).is_ok());
+        // Stdio is one more connection of the same scheduler.
+        let Ok(Command::Serve(o)) = parse(&["serve", "--stdio", "--workers", "2"]) else {
+            panic!()
+        };
+        assert_eq!(o.workers, 2);
     }
 
     #[test]
@@ -731,9 +725,6 @@ mod tests {
         assert!(parse(&["serve", "--workers", "0"]).is_err());
         assert!(parse(&["serve", "--workers", "some"]).is_err());
         assert!(parse(&["serve", "--run-quantum", "fast"]).is_err());
-        // Sharding stdin across threads is meaningless; refuse loudly.
-        assert!(parse(&["serve", "--workers", "4"]).is_err());
-        assert!(parse(&["serve", "--stdio", "--workers", "2"]).is_err());
     }
 
     #[test]

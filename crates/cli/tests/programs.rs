@@ -81,3 +81,21 @@ fn all_shipped_programs_pass_check_and_fmt() {
         );
     }
 }
+
+#[test]
+fn check_refuses_deep_expression_nesting_without_aborting() {
+    // 200k nested `(+ 1 …` is far deeper than any stack could recurse
+    // through: it must be an ordinary parse error, not an abort.
+    let depth = 200_000;
+    let source = format!(
+        "(literalize a x)\n(p r (a ^x <v>) --> (make a ^x {}<v>{}))\n",
+        "(+ 1 ".repeat(depth),
+        ")".repeat(depth)
+    );
+    let path = std::env::temp_dir().join(format!("parulel-deep-{}.pll", std::process::id()));
+    std::fs::write(&path, source).unwrap();
+    let (code, out) = cli(&["check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("nesting deeper than"), "{out}");
+}

@@ -373,11 +373,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape as
+                // one slice. Both delimiters are ASCII, so the run ends
+                // on a char boundary, and each byte is visited once.
+                let start = *pos;
+                let run = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - start);
+                *pos += run;
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?);
             }
         }
     }
@@ -454,6 +459,23 @@ mod tests {
         // Exactly the limit still parses.
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MB of string body, escapes included: quadratic work per
+        // character would take minutes here.
+        let body = "abcdé\\\"".repeat(4 << 20 >> 3);
+        let doc = format!(r#"{{"op":"ping","pad":"{body}"}}"#);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let pad = parsed.get("pad").and_then(Json::as_str).unwrap();
+        assert_eq!(pad, "abcdé\"".repeat(4 << 20 >> 3));
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
+        assert_eq!(
+            Json::parse(r#""abc"#),
+            Err("unterminated string".to_string())
+        );
     }
 
     #[test]

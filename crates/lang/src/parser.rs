@@ -6,6 +6,12 @@ use crate::lexer::lex;
 use crate::token::{Tok, Token};
 use parulel_core::expr::BinOp;
 
+/// Deepest arithmetic expression nesting the parser accepts. Program
+/// text reaches the daemon from clients (`open`, `reload`), and every
+/// pass over an expression recurses, so a limit here bounds the stack
+/// they all use. Like `json::MAX_DEPTH`, it is far beyond any real rule.
+pub const MAX_DEPTH: usize = 128;
+
 /// The parser. Construct with [`Parser::new`], consume with
 /// [`Parser::parse_program`].
 pub struct Parser {
@@ -304,8 +310,16 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<AstExpr, LangError> {
+        self.expr_at(0)
+    }
+
+    /// Parses an expression inside `depth` enclosing arithmetic forms.
+    fn expr_at(&mut self, depth: usize) -> Result<AstExpr, LangError> {
         if *self.peek() != Tok::LParen {
             return Ok(AstExpr::Term(self.term()?));
+        }
+        if depth == MAX_DEPTH {
+            return Err(self.err(format!("expression nesting deeper than {MAX_DEPTH}")));
         }
         self.bump(); // LParen
         let op = match self.bump() {
@@ -319,8 +333,8 @@ impl Parser {
             Tok::Minus => BinOp::Sub,
             other => return Err(self.err(format!("expected arithmetic operator, found '{other}'"))),
         };
-        let lhs = self.expr()?;
-        let rhs = self.expr()?;
+        let lhs = self.expr_at(depth + 1)?;
+        let rhs = self.expr_at(depth + 1)?;
         self.expect(&Tok::RParen)?;
         Ok(AstExpr::Bin(op, Box::new(lhs), Box::new(rhs)))
     }
@@ -648,6 +662,29 @@ mod tests {
             .unwrap()
             .parse_program()
             .is_err());
+    }
+
+    #[test]
+    fn expression_nesting_is_limited_without_exhausting_the_stack() {
+        let nested = |depth: usize| {
+            format!(
+                "(p r (a ^x <v>) --> (make a ^x {}<v>{}))",
+                "(+ 1 ".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        assert!(Parser::new(&nested(MAX_DEPTH))
+            .unwrap()
+            .parse_program()
+            .is_ok());
+        let err = Parser::new(&nested(200_000))
+            .unwrap()
+            .parse_program()
+            .unwrap_err();
+        // The first parenthesis past the limit: the `(+ 1 ` prefix is 5
+        // columns wide and starts at column 32.
+        assert_eq!(err.span, Span::new(1, 32 + 5 * MAX_DEPTH as u32));
+        assert!(err.msg.contains("deeper than 128"), "{err}");
     }
 
     #[test]

@@ -42,6 +42,9 @@ use parulel_engine::Json;
 ///   mismatch); the session keeps running its previous program.
 /// * `wal` — the durability layer could not append or fsync a session's
 ///   write-ahead log; the frame was NOT applied (log-before-apply).
+/// * `frame_too_large` — the request line exceeded the dispatcher's
+///   frame size limit; it was discarded through its newline, unread,
+///   and the connection stays open.
 pub mod kind {
     /// See the module docs.
     pub const PARSE: &str = "parse";
@@ -65,6 +68,8 @@ pub mod kind {
     pub const RELOAD: &str = "reload";
     /// See the module docs.
     pub const WAL: &str = "wal";
+    /// See the module docs.
+    pub const FRAME_TOO_LARGE: &str = "frame_too_large";
 }
 
 /// A structured failure, assembled into an `{"ok":false,…}` frame.

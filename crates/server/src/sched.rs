@@ -1,9 +1,9 @@
 //! The sharded session scheduler: shared-nothing workers plus
 //! step-quantum time-slicing of long runs.
 //!
-//! The pre-scheduler daemon funneled every frame through one
-//! `Mutex<Server>`, so a single session's long `run` blocked every
-//! other connection. This module replaces that with PARULEL-shaped
+//! The pre-scheduler daemon funneled every frame through one locked
+//! server, so a single session's long `run` blocked every other
+//! connection. This module replaces that with PARULEL-shaped
 //! parallelism at the serving layer:
 //!
 //! * **Sharding** — sessions are distributed across N worker threads by
@@ -41,9 +41,9 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendE
 use std::thread;
 
 /// A response callback: called exactly once with the rendered response
-/// frame. Transports capture their connection/sequence bookkeeping in
-/// it; tests capture a channel sender.
-pub type Reply = Box<dyn FnOnce(Option<String>) + Send + 'static>;
+/// frame. The dispatcher captures its connection/sequence bookkeeping
+/// in it; tests capture a channel sender.
+pub type Reply = Box<dyn FnOnce(String) + Send + 'static>;
 
 /// How many queued jobs a worker handles per turn while runs are
 /// parked. Bounds how long a flood of new frames can starve the run
@@ -69,9 +69,16 @@ pub fn shard_of(session: &str, shards: usize) -> usize {
 
 /// One unit of work routed to a shard worker.
 enum Job {
-    /// A protocol line for a session owned by this shard (or, with no
-    /// session field, any server-level frame at `workers == 1`).
-    Line { line: String, reply: Reply },
+    /// A raw protocol line for a session owned by this shard (or, with
+    /// no session field, any server-level frame at `workers == 1`).
+    /// `session` is the name [`Sched::submit`] already extracted; the
+    /// shard parses the line itself, once. (Shipping the parsed tree
+    /// across the channel instead refused more frames under overload.)
+    Line {
+        line: String,
+        session: Option<String>,
+        reply: Reply,
+    },
     /// A server-level frame executed on every shard; the dispatcher
     /// merges the per-shard responses.
     Control {
@@ -150,8 +157,12 @@ impl Shard {
     /// Handles one job; returns true when the shard should stop.
     fn handle_job(&mut self, job: Job) -> bool {
         match job {
-            Job::Line { line, reply } => {
-                self.handle_line(line, reply);
+            Job::Line {
+                line,
+                session,
+                reply,
+            } => {
+                self.handle_line(line, session, reply);
                 false
             }
             Job::Control { frame, reply } => {
@@ -165,12 +176,7 @@ impl Shard {
                 // them, in order) before the shutdown itself executes.
                 while !self.parked.is_empty() {
                     for (name, response) in self.server.drain_runs() {
-                        if let Some(st) = self.parked.remove(&name) {
-                            (st.reply)(Some(response));
-                            for (line, reply) in st.deferred {
-                                self.handle_line(line, reply);
-                            }
-                        }
+                        self.finish_run(&name, response);
                     }
                 }
                 self.rr.clear();
@@ -181,18 +187,15 @@ impl Shard {
         }
     }
 
-    fn handle_line(&mut self, line: String, reply: Reply) {
+    fn handle_line(&mut self, line: String, session: Option<String>, reply: Reply) {
         // Frames addressed to a session with a parked run wait behind
         // it: per-session frame ordering is never reordered by slicing.
-        if !self.parked.is_empty() {
-            if let Some(name) = session_of(&line) {
-                if let Some(st) = self.parked.get_mut(&name) {
-                    st.deferred.push_back((line, reply));
-                    return;
-                }
-            }
+        if let Some(st) = session.as_ref().and_then(|name| self.parked.get_mut(name)) {
+            st.deferred.push_back((line, reply));
+            return;
         }
-        match self.server.handle_line_coop(&line, self.quantum) {
+        let parsed = Json::parse(line.trim());
+        match self.server.handle_parsed(parsed, self.quantum) {
             Handled::Done(response) => reply(response),
             Handled::Parked(name) => {
                 self.parked.insert(
@@ -216,30 +219,20 @@ impl Shard {
         };
         match self.server.resume_run(&name, self.quantum) {
             None => self.rr.push_back(name),
-            Some(response) => {
-                if let Some(st) = self.parked.remove(&name) {
-                    (st.reply)(Some(response));
-                    for (line, reply) in st.deferred {
-                        self.handle_line(line, reply);
-                    }
-                }
+            Some(response) => self.finish_run(&name, response),
+        }
+    }
+
+    /// Delivers a finished run's response, then replays the frames
+    /// deferred behind it in order (all of them name that session).
+    fn finish_run(&mut self, name: &str, response: String) {
+        if let Some(st) = self.parked.remove(name) {
+            (st.reply)(response);
+            for (line, reply) in st.deferred {
+                self.handle_line(line, Some(name.to_string()), reply);
             }
         }
     }
-}
-
-/// Extracts the `session` field from a raw frame (only consulted while
-/// runs are parked, to decide deferral).
-fn session_of(line: &str) -> Option<String> {
-    // Cheap pre-filter before paying for a parse.
-    if !line.contains("\"session\"") {
-        return None;
-    }
-    let frame = Json::parse(line.trim()).ok()?;
-    frame
-        .get("session")
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
 }
 
 /// How a submitted line was routed; see [`Sched::submit`].
@@ -294,11 +287,6 @@ impl Sched {
         }
     }
 
-    /// Worker count.
-    pub fn workers(&self) -> usize {
-        self.inboxes.len()
-    }
-
     /// Routes one non-blank protocol line. Session frames hash to their
     /// shard; server-level `ping`/`metrics`/`sync` broadcast and merge
     /// (multi-shard only — one shard passes through untouched); all
@@ -328,7 +316,7 @@ impl Sched {
                 if self.inboxes.len() > 1 && broadcastable {
                     if let Some(frame) = frame {
                         let merged = self.broadcast(&frame);
-                        reply(Some(merged.render()));
+                        reply(merged.render());
                         return Submitted::Dispatched;
                     }
                 }
@@ -337,6 +325,7 @@ impl Sched {
         };
         match self.inboxes[shard].try_send(Job::Line {
             line: line.to_string(),
+            session: session.clone(),
             reply,
         }) {
             Ok(()) => Submitted::Dispatched,
@@ -345,20 +334,12 @@ impl Sched {
                     kind::BACKPRESSURE,
                     format!("shard {shard} inbox full; retry after responses drain"),
                 );
-                reply(Some(
-                    failure
-                        .to_frame(op.as_deref(), session.as_deref())
-                        .render(),
-                ));
+                reply(failure.to_frame(op.as_deref(), session.as_deref()).render());
                 Submitted::Dispatched
             }
             Err(TrySendError::Disconnected(Job::Line { reply, .. })) => {
                 let failure = Failure::new(kind::PROTOCOL, "server is shutting down");
-                reply(Some(
-                    failure
-                        .to_frame(op.as_deref(), session.as_deref())
-                        .render(),
-                ));
+                reply(failure.to_frame(op.as_deref(), session.as_deref()).render());
                 Submitted::Dispatched
             }
             Err(_) => Submitted::Dispatched,
@@ -549,9 +530,9 @@ mod tests {
             sched.submit(line, Box::new(move |r| tx.send(r).unwrap()));
         };
         send(&sched, r#"{"op":"ping"}"#);
-        assert_eq!(rx.recv().unwrap().unwrap(), r#"{"ok":true,"op":"ping"}"#);
+        assert_eq!(rx.recv().unwrap(), r#"{"ok":true,"op":"ping"}"#);
         send(&sched, "not json");
-        let parse_err = rx.recv().unwrap().unwrap();
+        let parse_err = rx.recv().unwrap();
         assert!(parse_err.contains("\"parse\""), "{parse_err}");
         let merged = sched.shutdown(&Json::obj().set("op", "shutdown"));
         assert_eq!(
@@ -563,11 +544,10 @@ mod tests {
     #[test]
     fn multi_shard_control_frames_merge() {
         let gauge = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let servers: Vec<Server> = (0..4)
             .map(|_| {
                 let mut s = Server::new(ServerConfig::default());
-                s.share_admission(gauge.clone(), flag.clone());
+                s.share_admission(gauge.clone());
                 s
             })
             .collect();
@@ -582,7 +562,7 @@ mod tests {
             sched.submit(&line, Box::new(move |r| tx.send(r).unwrap()));
         }
         for _ in 0..5 {
-            let r = rx.recv().unwrap().unwrap();
+            let r = rx.recv().unwrap();
             assert!(r.contains("\"ok\":true"), "{r}");
         }
         let tx2 = tx.clone();
@@ -590,7 +570,7 @@ mod tests {
             r#"{"op":"metrics"}"#,
             Box::new(move |r| tx2.send(r).unwrap()),
         );
-        let metrics = rx.recv().unwrap().unwrap();
+        let metrics = rx.recv().unwrap();
         let parsed = Json::parse(&metrics).unwrap();
         assert_eq!(parsed.get("sessions").and_then(Json::as_f64), Some(5.0));
         assert_eq!(

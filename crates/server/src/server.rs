@@ -1,8 +1,9 @@
 //! The daemon core: a session table and a synchronous frame handler.
 //!
-//! [`Server::handle_line`] is the whole protocol — transports
-//! (stdin/stdout, TCP, Unix socket) are thin line pumps around it, and
-//! tests drive it directly. One request frame in, one response frame
+//! [`Server::handle_parsed`] is the whole protocol: the scheduler's
+//! shard workers feed it every frame from every connection (stdio, TCP,
+//! Unix socket), and tests drive it directly through
+//! [`Server::handle_line`]. One request frame in, one response frame
 //! out; the server never blocks inside a handler (injects queue, runs
 //! are bounded by the session's budgets/cycle limit).
 //!
@@ -30,7 +31,7 @@ use parulel_engine::{
 };
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,7 +82,7 @@ const MUTATING_VERBS: [&str; 7] = [
 
 /// Bookkeeping for a parked cooperative run: a `run`/`run-to-fixpoint`
 /// frame executing in step-quantum slices via
-/// [`Server::handle_line_coop`] / [`Server::resume_run`].
+/// [`Server::handle_parsed`] / [`Server::resume_run`].
 struct ActiveRun {
     /// The request's verb (`run` or `run-to-fixpoint`), echoed in error
     /// frames exactly as the blocking path would.
@@ -101,11 +102,10 @@ struct ActiveRun {
     started: Instant,
 }
 
-/// The result of [`Server::handle_line_coop`].
+/// The result of [`Server::handle_parsed`].
 pub enum Handled {
-    /// The frame completed synchronously; `None` means a skipped blank
-    /// line (exactly [`Server::handle_line`]'s contract).
-    Done(Option<String>),
+    /// The frame completed synchronously with this response frame.
+    Done(String),
     /// The frame started a cooperative run on the named session. The
     /// caller owns driving it: call [`Server::resume_run`] with a
     /// quantum until it yields the response frame.
@@ -128,9 +128,6 @@ pub struct Server {
     peak_sessions: usize,
     frames: u64,
     errors: u64,
-    /// Shared so transports can check for shutdown without taking a
-    /// lock around the whole server.
-    shutdown: Arc<AtomicBool>,
     /// Durability configuration; `None` means the daemon runs exactly as
     /// before and nothing below touches disk.
     wal: Option<WalConfig>,
@@ -160,7 +157,6 @@ impl Server {
             peak_sessions: 0,
             frames: 0,
             errors: 0,
-            shutdown: Arc::new(AtomicBool::new(false)),
             wal: None,
             wals: BTreeMap::new(),
             replaying: false,
@@ -207,38 +203,18 @@ impl Server {
         self.recovered += 1;
     }
 
-    /// True once a `shutdown` frame has been accepted; transports stop
-    /// pumping when they see it.
-    pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// A shared handle on the shutdown flag: transports clone it once
-    /// per connection and poll it lock-free instead of locking the
-    /// server just to check for shutdown.
-    pub fn shutdown_signal(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// The shared live-session gauge (admission control state).
     pub fn admission_gauge(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.admission)
     }
 
     /// Makes this server admit sessions against `gauge` instead of its
-    /// private one. The scheduler shares one gauge (and one shutdown
-    /// flag, for symmetric transports) across every shard's server so
-    /// `max_sessions` bounds the *daemon*, not each shard. Call before
-    /// any session is opened or recovered.
-    pub fn share_admission(&mut self, gauge: Arc<AtomicUsize>, shutdown: Arc<AtomicBool>) {
+    /// private one. The scheduler shares one gauge across every
+    /// shard's server so `max_sessions` bounds the *daemon*, not each
+    /// shard. Call before any session is opened or recovered.
+    pub fn share_admission(&mut self, gauge: Arc<AtomicUsize>) {
         debug_assert!(self.sessions.is_empty());
         self.admission = gauge;
-        self.shutdown = shutdown;
-    }
-
-    /// Live session count on this server (one shard's view when sharded).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Handles one protocol line. Returns `None` for blank lines (they
@@ -249,58 +225,59 @@ impl Server {
         if line.is_empty() {
             return None;
         }
-        self.frames += 1;
-        let response = match Json::parse(line) {
-            Err(e) => Failure::new(kind::PARSE, format!("bad frame: {e}")).to_frame(None, None),
-            Ok(frame) => self.handle_frame(&frame),
-        };
-        if response.get("ok") != Some(&Json::Bool(true)) {
-            self.errors += 1;
+        match self.handle_parsed(Json::parse(line), 0) {
+            Handled::Done(response) => Some(response),
+            Handled::Parked(_) => unreachable!("quantum 0 never parks a run"),
         }
-        Some(response.render())
     }
 
-    /// Like [`handle_line`](Self::handle_line), but admits `run` /
-    /// `run-to-fixpoint` frames as *cooperative* runs: the first
-    /// `quantum` cycles execute immediately and, if the run has not
-    /// finished, it parks — the caller round-robins it forward with
-    /// [`resume_run`](Self::resume_run) while other frames interleave.
-    /// `quantum == 0` disables slicing (byte-identical to
-    /// [`handle_line`](Self::handle_line) for every frame).
+    /// Handles one non-blank frame, already parsed (or refused by the
+    /// parser), counting it and any error response. With `quantum > 0`,
+    /// `run` / `run-to-fixpoint` frames are admitted as *cooperative*
+    /// runs: the first `quantum` cycles execute immediately and, if the
+    /// run has not finished, it parks — the caller round-robins it
+    /// forward with [`resume_run`](Self::resume_run) while other frames
+    /// interleave. `quantum == 0` disables slicing.
     ///
     /// WAL ordering is unchanged: the run frame is logged before its
     /// first cycle executes (log-before-apply), regardless of how many
     /// slices the run takes.
-    pub fn handle_line_coop(&mut self, line: &str, quantum: u64) -> Handled {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return Handled::Done(None);
-        }
+    pub fn handle_parsed(&mut self, parsed: Result<Json, String>, quantum: u64) -> Handled {
+        self.frames += 1;
+        let frame = match parsed {
+            Ok(frame) => frame,
+            Err(e) => {
+                self.errors += 1;
+                let failure = Failure::new(kind::PARSE, format!("bad frame: {e}"));
+                return Handled::Done(failure.to_frame(None, None).render());
+            }
+        };
         if quantum > 0 {
-            if let Ok(frame) = Json::parse(trimmed) {
-                let op = frame.get("op").and_then(|v| v.as_str()).unwrap_or("");
-                if matches!(op, "run" | "run-to-fixpoint") {
-                    if let Some(name) = frame
-                        .get("session")
-                        .and_then(|v| v.as_str())
-                        .filter(|n| self.sessions.contains_key(*n) && !self.runs.contains_key(*n))
-                    {
-                        return self.begin_run(op.to_string(), name.to_string(), &frame, quantum);
-                    }
+            let op = frame.get("op").and_then(|v| v.as_str()).unwrap_or("");
+            if matches!(op, "run" | "run-to-fixpoint") {
+                if let Some(name) = frame
+                    .get("session")
+                    .and_then(|v| v.as_str())
+                    .filter(|n| self.sessions.contains_key(*n) && !self.runs.contains_key(*n))
+                {
+                    return self.begin_run(op.to_string(), name.to_string(), &frame, quantum);
                 }
             }
         }
-        Handled::Done(self.handle_line(line))
+        let response = self.handle_frame(&frame);
+        if response.get("ok") != Some(&Json::Bool(true)) {
+            self.errors += 1;
+        }
+        Handled::Done(response.render())
     }
 
     /// Admits a cooperative run: log-before-apply, drain the inject
     /// queue, record the run-level cycle cap, and execute the first
     /// slice.
     fn begin_run(&mut self, op: String, name: String, frame: &Json, quantum: u64) -> Handled {
-        self.frames += 1;
         if let Err(failure) = self.wal_append(&op, &name, frame) {
             self.errors += 1;
-            return Handled::Done(Some(failure.to_frame(Some(&op), Some(&name)).render()));
+            return Handled::Done(failure.to_frame(Some(&op), Some(&name)).render());
         }
         let session = self.sessions.get_mut(&name).expect("caller checked existence");
         let drained = session.drain();
@@ -317,7 +294,7 @@ impl Server {
             },
         );
         match self.resume_run(&name, quantum) {
-            Some(response) => Handled::Done(Some(response)),
+            Some(response) => Handled::Done(response),
             None => Handled::Parked(name),
         }
     }
@@ -393,11 +370,6 @@ impl Server {
         Some(response.render())
     }
 
-    /// Session names with a parked cooperative run, in name order.
-    pub fn parked_runs(&self) -> Vec<String> {
-        self.runs.keys().cloned().collect()
-    }
-
     /// Drives every parked cooperative run to completion (one unbounded
     /// slice each), returning `(session, response)` pairs in name order.
     /// The scheduler calls this on shutdown so in-flight runs finish at
@@ -441,7 +413,6 @@ impl Server {
                 Ok(response)
             }
             "shutdown" => {
-                self.shutdown.store(true, Ordering::SeqCst);
                 // Safety net for direct `handle_line` users: in-flight
                 // cooperative runs finish at a cycle boundary before
                 // anything persists. (The scheduler drains first via
@@ -553,7 +524,7 @@ impl Server {
     }
 
     /// Compacts and fsyncs every live session's log (graceful shutdown:
-    /// the `shutdown` frame, and SIGTERM/SIGINT on socket transports).
+    /// the `shutdown` frame, and SIGTERM/SIGINT on socket listeners).
     /// Returns how many sessions were persisted.
     pub fn persist_all(&mut self) -> usize {
         // In-flight cooperative runs finish first: a snapshot captured
@@ -573,20 +544,6 @@ impl Server {
             }
         }
         persisted
-    }
-
-    /// Signal-initiated graceful shutdown: marks the server down and,
-    /// when durability is on, compacts and fsyncs every live session's
-    /// WAL so the sessions recover at restart. Returns the number of
-    /// sessions persisted.
-    pub fn graceful_shutdown(&mut self) -> usize {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.drain_runs();
-        if self.wal.is_some() {
-            self.persist_all()
-        } else {
-            0
-        }
     }
 
     /// The `sync` verb: fsync one session's log, or every log when no

@@ -66,7 +66,6 @@ fn golden_session_transcript() {
         let response = server.handle_line(request).expect("non-blank line");
         assert_eq!(response, expected, "request: {request}");
     }
-    assert!(server.shutting_down());
 }
 
 /// `PROGRAM` with one rule body changed (`close` gains a `write`) and
